@@ -20,48 +20,220 @@ constexpr size_t kOverflowHeader = 12;  // type(1) pad(3) next(4) len(4)
 
 bool IsLeafType(uint8_t t) { return t == kTableLeaf || t == kIndexLeaf; }
 
+uint8_t PageType(bool is_index, bool leaf) {
+  return leaf ? (is_index ? kIndexLeaf : kTableLeaf)
+              : (is_index ? kIndexInterior : kTableInterior);
+}
+
+// Turns `page` into an empty b-tree page.
+void InitPage(uint8_t* page, uint32_t page_size, uint8_t type,
+              Pgno right_child) {
+  std::memset(page, 0, page_size);
+  page[0] = type;
+  EncodeFixed16(page + 1, 0);
+  EncodeFixed32(page + 3, right_child);
+}
+
 }  // namespace
 
 uint32_t BTree::MaxLocal() const { return pager_->page_size() / 4; }
 
+size_t BTree::FixedCellSize(bool leaf) const {
+  return (leaf ? 0 : 4) + (is_index_ ? 0 : 8) + (is_index_ || leaf ? 10 : 0);
+}
+
 // ---------------------------------------------------------------------------
-// page (de)serialization
+// zero-copy page access
 // ---------------------------------------------------------------------------
 
-StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(const uint8_t* page,
-                                                    bool* leaf,
-                                                    Pgno* right_child) const {
+StatusOr<BTree::PageHeader> BTree::ReadHeader(const uint8_t* page) const {
   uint8_t type = page[0];
   if ((is_index_ && type != kIndexLeaf && type != kIndexInterior) ||
       (!is_index_ && type != kTableLeaf && type != kTableInterior)) {
     return Status::Corruption("unexpected btree page type " +
                               std::to_string(type));
   }
-  *leaf = IsLeafType(type);
-  uint16_t ncells = DecodeFixed16(page + 1);
-  *right_child = DecodeFixed32(page + 3);
-  std::vector<Cell> cells;
-  cells.reserve(ncells);
+  PageHeader h;
+  h.leaf = IsLeafType(type);
+  h.ncells = DecodeFixed16(page + 1);
+  h.right_child = DecodeFixed32(page + 3);
+  // Every cell takes at least its fixed part; this bounds the cell count
+  // (and places every fixed-size table interior cell inside the page).
+  if (kPageHeader + size_t(h.ncells) * FixedCellSize(h.leaf) >
+      pager_->page_size()) {
+    return Status::Corruption("btree cell count " + std::to_string(h.ncells) +
+                              " overruns the page");
+  }
+  return h;
+}
+
+Status BTree::ViewCell(const uint8_t* page, bool leaf, size_t off,
+                       CellView* cell) const {
+  const size_t page_size = pager_->page_size();
+  *cell = CellView();
+  cell->size = FixedCellSize(leaf);
+  if (off + cell->size > page_size) {
+    return Status::Corruption("btree cell runs past the page");
+  }
+  const uint8_t* p = page + off;
+  if (!leaf) {
+    cell->child = DecodeFixed32(p);
+    p += 4;
+  }
+  if (!is_index_) {
+    cell->rowid = int64_t(DecodeFixed64(p));
+    p += 8;
+  }
+  if (is_index_ || leaf) {
+    cell->payload_total = DecodeFixed32(p);
+    cell->local_size = DecodeFixed16(p + 4);
+    cell->overflow = DecodeFixed32(p + 6);
+    cell->local = p + 10;
+    cell->size += cell->local_size;
+    if (off + cell->size > page_size) {
+      return Status::Corruption("btree cell payload runs past the page");
+    }
+  }
+  return Status::OK();
+}
+
+StatusOr<size_t> BTree::CellOffset(const uint8_t* page, const PageHeader& h,
+                                   size_t index) const {
+  DCHECK(index <= h.ncells);
+  if (!h.leaf && !is_index_) {
+    // Fixed-size cells, all inside the page (ReadHeader checked the count).
+    return kPageHeader + index * FixedCellSize(false);
+  }
   size_t off = kPageHeader;
-  for (uint16_t i = 0; i < ncells; ++i) {
+  CellView cell;
+  for (size_t i = 0; i < index; ++i) {
+    XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, off, &cell));
+    off += cell.size;
+  }
+  return off;
+}
+
+StatusOr<BTree::CellView> BTree::CellAt(const uint8_t* page,
+                                        const PageHeader& h,
+                                        size_t index) const {
+  DCHECK(index < h.ncells);
+  XFTL_ASSIGN_OR_RETURN(size_t off, CellOffset(page, h, index));
+  CellView cell;
+  XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, off, &cell));
+  return cell;
+}
+
+StatusOr<BTree::CellView> BTree::PinCell(Pgno pgno, size_t index,
+                                         PageRef* ref) const {
+  XFTL_ASSIGN_OR_RETURN(*ref, pager_->Get(pgno));
+  XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref->data()));
+  if (index >= h.ncells) return Status::Corruption("btree cursor past page");
+  return CellAt(ref->data(), h, index);
+}
+
+StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
+                                    int64_t rowid,
+                                    const std::vector<uint8_t>* key) const {
+  Slot slot;
+  if (!h.leaf && !is_index_) {
+    // Fixed-size cells in rowid order: binary search for the same slot.
+    const size_t cell_size = FixedCellSize(false);
+    size_t lo = 0, hi = h.ncells;
+    while (lo < hi) {
+      size_t mid = lo + (hi - lo) / 2;
+      XFTL_RETURN_IF_ERROR(
+          ViewCell(page, false, kPageHeader + mid * cell_size, &slot.cell));
+      if (CompareToCell(rowid, key, slot.cell) <= 0) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    slot.pos = lo;
+    slot.offset = kPageHeader + lo * cell_size;
+    if (lo == h.ncells) {
+      slot.cell = CellView();
+      return slot;
+    }
+    XFTL_RETURN_IF_ERROR(ViewCell(page, false, slot.offset, &slot.cell));
+    slot.exact = CompareToCell(rowid, key, slot.cell) == 0;
+    return slot;
+  }
+  slot.offset = kPageHeader;
+  for (; slot.pos < h.ncells; ++slot.pos) {
+    XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, slot.offset, &slot.cell));
+    int c = CompareToCell(rowid, key, slot.cell);
+    if (c <= 0) {
+      slot.exact = c == 0;
+      return slot;
+    }
+    slot.offset += slot.cell.size;
+  }
+  slot.cell = CellView();
+  return slot;
+}
+
+int BTree::CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
+                         const CellView& cell) const {
+  if (is_index_) {
+    DCHECK(key != nullptr);
+    return CompareEncodedRecords(key->data(), key->size(), cell.local,
+                                 cell.local_size);
+  }
+  return rowid < cell.rowid ? -1 : (rowid > cell.rowid ? 1 : 0);
+}
+
+// ---------------------------------------------------------------------------
+// page edits
+// ---------------------------------------------------------------------------
+
+void BTree::Splice(uint8_t* page, size_t off, size_t old_size,
+                   size_t new_size, size_t end) const {
+  DCHECK(end - old_size + new_size <= pager_->page_size());
+  std::memmove(page + off + new_size, page + off + old_size,
+               end - off - old_size);
+  if (new_size < old_size) {
+    std::memset(page + end - (old_size - new_size), 0, old_size - new_size);
+  }
+}
+
+size_t BTree::CellSize(bool leaf, const Cell& cell) const {
+  return FixedCellSize(leaf) + (is_index_ || leaf ? cell.local.size() : 0);
+}
+
+void BTree::EncodeCell(uint8_t* dst, bool leaf, const Cell& c) const {
+  if (!leaf) {
+    EncodeFixed32(dst, c.child);
+    dst += 4;
+  }
+  if (!is_index_) {
+    EncodeFixed64(dst, uint64_t(c.rowid));
+    dst += 8;
+  }
+  if (is_index_ || leaf) {
+    EncodeFixed32(dst, c.payload_total);
+    EncodeFixed16(dst + 4, uint16_t(c.local.size()));
+    EncodeFixed32(dst + 6, c.overflow);
+    std::memcpy(dst + 10, c.local.data(), c.local.size());
+  }
+}
+
+StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(
+    const uint8_t* page, const PageHeader& h) const {
+  std::vector<Cell> cells;
+  cells.reserve(h.ncells);
+  size_t off = kPageHeader;
+  CellView view;
+  for (uint16_t i = 0; i < h.ncells; ++i) {
+    XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, off, &view));
     Cell c;
-    if (!*leaf) {
-      c.child = DecodeFixed32(page + off);
-      off += 4;
-    }
-    if (!is_index_) {
-      c.rowid = int64_t(DecodeFixed64(page + off));
-      off += 8;
-    }
-    if (is_index_ || *leaf) {
-      c.payload_total = DecodeFixed32(page + off);
-      uint16_t local = DecodeFixed16(page + off + 4);
-      c.overflow = DecodeFixed32(page + off + 6);
-      off += 10;
-      c.local.assign(page + off, page + off + local);
-      off += local;
-    }
+    c.rowid = view.rowid;
+    c.child = view.child;
+    c.payload_total = view.payload_total;
+    c.overflow = view.overflow;
+    c.local.assign(view.local, view.local + view.local_size);
     cells.push_back(std::move(c));
+    off += view.size;
   }
   return cells;
 }
@@ -69,52 +241,19 @@ StatusOr<std::vector<BTree::Cell>> BTree::ReadCells(const uint8_t* page,
 Status BTree::WriteCells(uint8_t* page, bool leaf, Pgno right_child,
                          const std::vector<Cell>& cells) const {
   const uint32_t page_size = pager_->page_size();
+  size_t end = kPageHeader;
+  for (const Cell& c : cells) end += CellSize(leaf, c);
+  if (end > page_size) {
+    return Status::ResourceExhausted("btree page overflow");
+  }
+  InitPage(page, page_size, PageType(is_index_, leaf), right_child);
+  EncodeFixed16(page + 1, uint16_t(cells.size()));
   size_t off = kPageHeader;
   for (const Cell& c : cells) {
-    size_t sz = 0;
-    if (!leaf) sz += 4;
-    if (!is_index_) sz += 8;
-    if (is_index_ || leaf) sz += 10 + c.local.size();
-    if (off + sz > page_size) {
-      return Status::ResourceExhausted("btree page overflow");
-    }
-    off += sz;
-  }
-  std::memset(page, 0, page_size);
-  page[0] = leaf ? (is_index_ ? kIndexLeaf : kTableLeaf)
-                 : (is_index_ ? kIndexInterior : kTableInterior);
-  EncodeFixed16(page + 1, uint16_t(cells.size()));
-  EncodeFixed32(page + 3, right_child);
-  off = kPageHeader;
-  for (const Cell& c : cells) {
-    if (!leaf) {
-      EncodeFixed32(page + off, c.child);
-      off += 4;
-    }
-    if (!is_index_) {
-      EncodeFixed64(page + off, uint64_t(c.rowid));
-      off += 8;
-    }
-    if (is_index_ || leaf) {
-      EncodeFixed32(page + off, c.payload_total);
-      EncodeFixed16(page + off + 4, uint16_t(c.local.size()));
-      EncodeFixed32(page + off + 6, c.overflow);
-      off += 10;
-      std::memcpy(page + off, c.local.data(), c.local.size());
-      off += c.local.size();
-    }
+    EncodeCell(page + off, leaf, c);
+    off += CellSize(leaf, c);
   }
   return Status::OK();
-}
-
-int BTree::CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
-                         const Cell& cell) const {
-  if (is_index_) {
-    DCHECK(key != nullptr);
-    return CompareEncodedRecords(key->data(), key->size(), cell.local.data(),
-                                 cell.local.size());
-  }
-  return rowid < cell.rowid ? -1 : (rowid > cell.rowid ? 1 : 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,50 +262,34 @@ int BTree::CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
 
 StatusOr<Pgno> BTree::Create(Pager* pager, bool is_index) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager->Allocate());
-  ref.data()[0] = is_index ? kIndexLeaf : kTableLeaf;
-  EncodeFixed16(ref.data() + 1, 0);
-  EncodeFixed32(ref.data() + 3, kNoPgno);
+  InitPage(ref.data(), pager->page_size(), PageType(is_index, /*leaf=*/true),
+           kNoPgno);
   return ref.pgno();
 }
 
 Status BTree::Drop(Pager* pager, Pgno root) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager->Get(root));
   uint8_t type = ref.data()[0];
-  uint16_t ncells = DecodeFixed16(ref.data() + 1);
-  Pgno right_child = DecodeFixed32(ref.data() + 3);
-  bool leaf = IsLeafType(type);
-  bool index = type == kIndexLeaf || type == kIndexInterior;
+  BTree tree(pager, root, type == kIndexLeaf || type == kIndexInterior);
+  XFTL_ASSIGN_OR_RETURN(PageHeader h, tree.ReadHeader(ref.data()));
 
   // Collect child pages and overflow heads before freeing this page.
   std::vector<Pgno> children;
   std::vector<Pgno> overflows;
   size_t off = kPageHeader;
-  for (uint16_t i = 0; i < ncells; ++i) {
-    if (!leaf) {
-      children.push_back(DecodeFixed32(ref.data() + off));
-      off += 4;
-    }
-    if (!index) off += 8;  // rowid
-    if (index || leaf) {
-      uint16_t local = DecodeFixed16(ref.data() + off + 4);
-      Pgno ovfl = DecodeFixed32(ref.data() + off + 6);
-      if (ovfl != kNoPgno) overflows.push_back(ovfl);
-      off += 10 + local;
-    }
+  CellView cell;
+  for (uint16_t i = 0; i < h.ncells; ++i) {
+    XFTL_RETURN_IF_ERROR(tree.ViewCell(ref.data(), h.leaf, off, &cell));
+    if (!h.leaf) children.push_back(cell.child);
+    if (cell.overflow != kNoPgno) overflows.push_back(cell.overflow);
+    off += cell.size;
   }
-  if (!leaf && right_child != kNoPgno) children.push_back(right_child);
+  if (!h.leaf && h.right_child != kNoPgno) children.push_back(h.right_child);
   ref = PageRef();  // release the pin before recursing
 
   for (Pgno child : children) XFTL_RETURN_IF_ERROR(Drop(pager, child));
   for (Pgno ovfl : overflows) {
-    Pgno p = ovfl;
-    while (p != kNoPgno) {
-      XFTL_ASSIGN_OR_RETURN(PageRef o, pager->Get(p));
-      Pgno next = DecodeFixed32(o.data() + 4);
-      o = PageRef();
-      XFTL_RETURN_IF_ERROR(pager->Free(p));
-      p = next;
-    }
+    XFTL_RETURN_IF_ERROR(tree.FreeOverflowChain(ovfl));
   }
   return pager->Free(root);
 }
@@ -221,24 +344,26 @@ Status BTree::FreeOverflowChain(Pgno first) {
   return Status::OK();
 }
 
-StatusOr<std::vector<uint8_t>> BTree::AssemblePayload(const Cell& cell) {
-  std::vector<uint8_t> out = cell.local;
-  out.reserve(cell.payload_total);
-  Pgno p = cell.overflow;
-  while (p != kNoPgno && out.size() < cell.payload_total) {
+Status BTree::AppendOverflow(Pgno first, uint32_t total,
+                             std::vector<uint8_t>* out) {
+  Pgno p = first;
+  while (p != kNoPgno && out->size() < total) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(p));
     if (ref.data()[0] != kOverflow) {
       return Status::Corruption("bad overflow page");
     }
     uint32_t len = DecodeFixed32(ref.data() + 8);
-    out.insert(out.end(), ref.data() + kOverflowHeader,
-               ref.data() + kOverflowHeader + len);
+    if (len > pager_->page_size() - kOverflowHeader) {
+      return Status::Corruption("overflow page length runs past the page");
+    }
+    out->insert(out->end(), ref.data() + kOverflowHeader,
+                ref.data() + kOverflowHeader + len);
     p = DecodeFixed32(ref.data() + 4);
   }
-  if (out.size() != cell.payload_total) {
+  if (out->size() != total) {
     return Status::Corruption("truncated overflow chain");
   }
-  return out;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -248,23 +373,7 @@ StatusOr<std::vector<uint8_t>> BTree::AssemblePayload(const Cell& cell) {
 Status BTree::Insert(int64_t rowid, const std::vector<uint8_t>& payload) {
   CHECK(!is_index_);
   XFTL_ASSIGN_OR_RETURN(Cell cell, MakeLeafCell(rowid, payload));
-  XFTL_ASSIGN_OR_RETURN(auto split, InsertInto(root_, std::move(cell)));
-  if (!split.has_value()) return Status::OK();
-
-  // Root split: move the lower half (currently in the root page) to a fresh
-  // page, then turn the root into an interior node over {left, right}.
-  XFTL_ASSIGN_OR_RETURN(PageRef root_ref, pager_->Get(root_));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(root_ref.data(), &leaf, &rc));
-  XFTL_ASSIGN_OR_RETURN(PageRef left, pager_->Allocate());
-  XFTL_RETURN_IF_ERROR(WriteCells(left.data(), leaf, rc, cells));
-  Cell sep = std::move(split->separator);
-  sep.child = left.pgno();
-  XFTL_RETURN_IF_ERROR(root_ref.MarkDirty());
-  XFTL_RETURN_IF_ERROR(
-      WriteCells(root_ref.data(), /*leaf=*/false, split->right, {sep}));
-  return Status::OK();
+  return InsertCell(std::move(cell));
 }
 
 Status BTree::InsertKey(const std::vector<uint8_t>& key) {
@@ -275,56 +384,56 @@ Status BTree::InsertKey(const std::vector<uint8_t>& key) {
   Cell cell;
   cell.payload_total = uint32_t(key.size());
   cell.local = key;
+  return InsertCell(std::move(cell));
+}
+
+Status BTree::InsertCell(Cell cell) {
   XFTL_ASSIGN_OR_RETURN(auto split, InsertInto(root_, std::move(cell)));
   if (!split.has_value()) return Status::OK();
+
+  // Root split: move the lower half (currently in the root page, just
+  // repacked by the split) to a fresh page, then turn the root into an
+  // interior node over {left, right}.
   XFTL_ASSIGN_OR_RETURN(PageRef root_ref, pager_->Get(root_));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(root_ref.data(), &leaf, &rc));
   XFTL_ASSIGN_OR_RETURN(PageRef left, pager_->Allocate());
-  XFTL_RETURN_IF_ERROR(WriteCells(left.data(), leaf, rc, cells));
+  std::memcpy(left.data(), root_ref.data(), pager_->page_size());
   Cell sep = std::move(split->separator);
   sep.child = left.pgno();
   XFTL_RETURN_IF_ERROR(root_ref.MarkDirty());
-  XFTL_RETURN_IF_ERROR(
-      WriteCells(root_ref.data(), /*leaf=*/false, split->right, {sep}));
-  return Status::OK();
+  return WriteCells(root_ref.data(), /*leaf=*/false, split->right, {sep});
 }
 
 StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
                                                               Cell cell) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref.data()));
+  XFTL_ASSIGN_OR_RETURN(
+      Slot slot,
+      Search(ref.data(), h, cell.rowid, is_index_ ? &cell.local : nullptr));
+  const uint32_t page_size = pager_->page_size();
 
-  if (leaf) {
-    // Find insertion position / existing entry.
-    size_t pos = 0;
-    bool replace = false;
-    for (; pos < cells.size(); ++pos) {
-      int c = CompareToCell(cell.rowid, is_index_ ? &cell.local : nullptr,
-                            cells[pos]);
-      if (c == 0) {
-        replace = true;
-        break;
-      }
-      if (c < 0) break;
-    }
-    if (replace) {
-      if (cells[pos].overflow != kNoPgno) {
-        XFTL_RETURN_IF_ERROR(FreeOverflowChain(cells[pos].overflow));
-      }
-      cells[pos] = std::move(cell);
-    } else {
-      cells.insert(cells.begin() + pos, std::move(cell));
+  if (h.leaf) {
+    XFTL_ASSIGN_OR_RETURN(size_t end, CellOffset(ref.data(), h, h.ncells));
+    if (slot.exact && slot.cell.overflow != kNoPgno) {
+      XFTL_RETURN_IF_ERROR(FreeOverflowChain(slot.cell.overflow));
     }
     XFTL_RETURN_IF_ERROR(ref.MarkDirty());
-    Status s = WriteCells(ref.data(), true, rc, cells);
-    if (s.ok()) return std::optional<SplitResult>{};
-    if (s.code() != StatusCode::kResourceExhausted) return s;
+    const size_t old_size = slot.exact ? slot.cell.size : 0;
+    const size_t new_size = CellSize(true, cell);
+    if (end - old_size + new_size <= page_size) {
+      Splice(ref.data(), slot.offset, old_size, new_size, end);
+      EncodeCell(ref.data() + slot.offset, true, cell);
+      if (!slot.exact) EncodeFixed16(ref.data() + 1, uint16_t(h.ncells + 1));
+      return std::optional<SplitResult>{};
+    }
 
     // Split the leaf: lower half stays, upper half moves right.
+    XFTL_ASSIGN_OR_RETURN(std::vector<Cell> cells, ReadCells(ref.data(), h));
+    if (slot.exact) {
+      cells[slot.pos] = std::move(cell);
+    } else {
+      cells.insert(cells.begin() + slot.pos, std::move(cell));
+    }
     size_t mid = cells.size() / 2;
     std::vector<Cell> left_cells(cells.begin(), cells.begin() + mid);
     std::vector<Cell> right_cells(cells.begin() + mid, cells.end());
@@ -345,13 +454,8 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   }
 
   // Interior: route to the child covering the key.
-  size_t pos = 0;
-  for (; pos < cells.size(); ++pos) {
-    int c = CompareToCell(cell.rowid, is_index_ ? &cell.local : nullptr,
-                          cells[pos]);
-    if (c <= 0) break;
-  }
-  Pgno child = pos < cells.size() ? cells[pos].child : rc;
+  const size_t pos = slot.pos;
+  Pgno child = pos < h.ncells ? slot.cell.child : h.right_child;
   ref = PageRef();  // release pin during recursion
   XFTL_ASSIGN_OR_RETURN(auto sub, InsertInto(child, std::move(cell)));
   if (!sub.has_value()) return std::optional<SplitResult>{};
@@ -359,21 +463,31 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   // The child split into child (lower) and sub->right (upper): insert the
   // new separator and redirect the old route to the upper half.
   XFTL_ASSIGN_OR_RETURN(ref, pager_->Get(pgno));
-  XFTL_ASSIGN_OR_RETURN(cells, ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(h, ReadHeader(ref.data()));
+  XFTL_ASSIGN_OR_RETURN(size_t off, CellOffset(ref.data(), h, pos));
+  XFTL_ASSIGN_OR_RETURN(size_t end, CellOffset(ref.data(), h, h.ncells));
   Cell sep = std::move(sub->separator);
   sep.child = child;
+  XFTL_RETURN_IF_ERROR(ref.MarkDirty());
+  const size_t sep_size = CellSize(false, sep);
+  if (end + sep_size <= page_size) {
+    EncodeFixed32(pos < h.ncells ? ref.data() + off : ref.data() + 3,
+                  sub->right);
+    Splice(ref.data(), off, 0, sep_size, end);
+    EncodeCell(ref.data() + off, false, sep);
+    EncodeFixed16(ref.data() + 1, uint16_t(h.ncells + 1));
+    return std::optional<SplitResult>{};
+  }
+
+  // Split the interior node: promote the middle cell.
+  XFTL_ASSIGN_OR_RETURN(std::vector<Cell> cells, ReadCells(ref.data(), h));
+  Pgno rc = h.right_child;
   if (pos < cells.size()) {
     cells[pos].child = sub->right;
   } else {
     rc = sub->right;
   }
   cells.insert(cells.begin() + pos, std::move(sep));
-  XFTL_RETURN_IF_ERROR(ref.MarkDirty());
-  Status s = WriteCells(ref.data(), false, rc, cells);
-  if (s.ok()) return std::optional<SplitResult>{};
-  if (s.code() != StatusCode::kResourceExhausted) return s;
-
-  // Split the interior node: promote the middle cell.
   size_t mid = cells.size() / 2;
   Cell promoted = cells[mid];
   std::vector<Cell> left_cells(cells.begin(), cells.begin() + mid);
@@ -409,34 +523,24 @@ Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
                          const std::vector<uint8_t>* key, bool* emptied) {
   *emptied = false;
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref.data()));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Search(ref.data(), h, rowid, key));
 
-  if (leaf) {
-    for (size_t pos = 0; pos < cells.size(); ++pos) {
-      int c = CompareToCell(rowid, key, cells[pos]);
-      if (c == 0) {
-        if (cells[pos].overflow != kNoPgno) {
-          XFTL_RETURN_IF_ERROR(FreeOverflowChain(cells[pos].overflow));
-        }
-        cells.erase(cells.begin() + pos);
-        XFTL_RETURN_IF_ERROR(ref.MarkDirty());
-        XFTL_RETURN_IF_ERROR(WriteCells(ref.data(), true, rc, cells));
-        *emptied = cells.empty() && pgno != root_;
-        return Status::OK();
-      }
-      if (c < 0) break;
+  if (h.leaf) {
+    if (!slot.exact) return Status::NotFound("btree entry not found");
+    XFTL_ASSIGN_OR_RETURN(size_t end, CellOffset(ref.data(), h, h.ncells));
+    if (slot.cell.overflow != kNoPgno) {
+      XFTL_RETURN_IF_ERROR(FreeOverflowChain(slot.cell.overflow));
     }
-    return Status::NotFound("btree entry not found");
+    XFTL_RETURN_IF_ERROR(ref.MarkDirty());
+    Splice(ref.data(), slot.offset, slot.cell.size, 0, end);
+    EncodeFixed16(ref.data() + 1, uint16_t(h.ncells - 1));
+    *emptied = h.ncells == 1 && pgno != root_;
+    return Status::OK();
   }
 
-  size_t pos = 0;
-  for (; pos < cells.size(); ++pos) {
-    int c = CompareToCell(rowid, key, cells[pos]);
-    if (c <= 0) break;
-  }
-  Pgno child = pos < cells.size() ? cells[pos].child : rc;
+  const size_t pos = slot.pos;
+  Pgno child = pos < h.ncells ? slot.cell.child : h.right_child;
   ref = PageRef();
   bool child_emptied = false;
   XFTL_RETURN_IF_ERROR(DeleteFrom(child, rowid, key, &child_emptied));
@@ -445,26 +549,30 @@ Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
   // Unlink the emptied child.
   XFTL_RETURN_IF_ERROR(pager_->Free(child));
   XFTL_ASSIGN_OR_RETURN(ref, pager_->Get(pgno));
-  XFTL_ASSIGN_OR_RETURN(cells, ReadCells(ref.data(), &leaf, &rc));
-  if (pos < cells.size()) {
-    cells.erase(cells.begin() + pos);
-  } else if (!cells.empty()) {
-    rc = cells.back().child;
-    cells.pop_back();
-  } else {
+  XFTL_ASSIGN_OR_RETURN(h, ReadHeader(ref.data()));
+  if (h.ncells == 0) {
     // Interior node whose only subtree vanished: it is empty itself.
     XFTL_RETURN_IF_ERROR(ref.MarkDirty());
     if (pgno == root_) {
       // Empty tree again: turn the root back into an empty leaf.
-      XFTL_RETURN_IF_ERROR(WriteCells(ref.data(), true, kNoPgno, {}));
+      InitPage(ref.data(), pager_->page_size(), PageType(is_index_, true),
+               kNoPgno);
     } else {
       *emptied = true;
     }
     return Status::OK();
   }
+  // Drop the separator that routed to the child; when the child was the
+  // right child, the last separator's subtree becomes the right child.
+  const size_t victim = std::min<size_t>(pos, h.ncells - 1);
+  XFTL_ASSIGN_OR_RETURN(size_t off, CellOffset(ref.data(), h, victim));
+  XFTL_ASSIGN_OR_RETURN(size_t end, CellOffset(ref.data(), h, h.ncells));
+  CellView cell;
+  XFTL_RETURN_IF_ERROR(ViewCell(ref.data(), false, off, &cell));
+  const Pgno rc = pos < h.ncells ? h.right_child : cell.child;
   XFTL_RETURN_IF_ERROR(ref.MarkDirty());
 
-  if (cells.empty() && pgno == root_) {
+  if (h.ncells == 1 && pgno == root_) {
     // Collapse: the root routes everything to rc; pull rc's content up so
     // the root page number stays stable.
     XFTL_ASSIGN_OR_RETURN(PageRef child_ref, pager_->Get(rc));
@@ -472,7 +580,10 @@ Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
     child_ref = PageRef();
     return pager_->Free(rc);
   }
-  return WriteCells(ref.data(), false, rc, cells);
+  EncodeFixed32(ref.data() + 3, rc);
+  Splice(ref.data(), off, cell.size, 0, end);
+  EncodeFixed16(ref.data() + 1, uint16_t(h.ncells - 1));
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -484,13 +595,16 @@ StatusOr<int64_t> BTree::MaxRowid() {
   Pgno pgno = root_;
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, ReadCells(ref.data(), &leaf, &rc));
-    if (leaf) {
-      return cells.empty() ? 0 : cells.back().rowid;
+    XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref.data()));
+    if (h.leaf && h.ncells == 0) return 0;
+    if (!h.leaf && h.right_child != kNoPgno) {
+      pgno = h.right_child;
+      continue;
     }
-    pgno = rc != kNoPgno ? rc : cells.back().child;
+    if (h.ncells == 0) return Status::Corruption("empty interior page");
+    XFTL_ASSIGN_OR_RETURN(CellView last, CellAt(ref.data(), h, h.ncells - 1));
+    if (h.leaf) return last.rowid;
+    pgno = last.child;
   }
 }
 
@@ -501,18 +615,19 @@ StatusOr<int64_t> BTree::MaxRowid() {
 Status BTree::Cursor::DescendLeftmost(Pgno pgno) {
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+    XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
     stack_.push_back({pgno, 0});
-    if (leaf) {
-      if (!cells.empty()) {
-        valid_ = true;
-        return Status::OK();
-      }
-      return AdvanceFromLeafEnd();
+    if (h.ncells == 0) {
+      if (h.leaf) return AdvanceFromLeafEnd();
+      pgno = h.right_child;
+      continue;
     }
-    pgno = cells.empty() ? rc : cells[0].child;
+    XFTL_ASSIGN_OR_RETURN(CellView first, tree_->CellAt(ref.data(), h, 0));
+    if (h.leaf) {
+      valid_ = true;
+      return Status::OK();
+    }
+    pgno = first.child;
   }
 }
 
@@ -524,53 +639,32 @@ Status BTree::Cursor::First() {
 
 Status BTree::Cursor::SeekGE(int64_t rowid) {
   CHECK(!tree_->is_index_);
-  stack_.clear();
-  valid_ = false;
-  Pgno pgno = tree_->root_;
-  while (true) {
-    XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
-    size_t pos = 0;
-    for (; pos < cells.size(); ++pos) {
-      if (tree_->CompareToCell(rowid, nullptr, cells[pos]) <= 0) break;
-    }
-    stack_.push_back({pgno, int(pos)});
-    if (leaf) {
-      if (pos < cells.size()) {
-        valid_ = true;
-        return Status::OK();
-      }
-      return AdvanceFromLeafEnd();
-    }
-    pgno = pos < cells.size() ? cells[pos].child : rc;
-  }
+  return Seek(rowid, nullptr);
 }
 
 Status BTree::Cursor::SeekGEKey(const std::vector<uint8_t>& key) {
   CHECK(tree_->is_index_);
+  return Seek(0, &key);
+}
+
+Status BTree::Cursor::Seek(int64_t rowid, const std::vector<uint8_t>* key) {
   stack_.clear();
   valid_ = false;
   Pgno pgno = tree_->root_;
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
-    size_t pos = 0;
-    for (; pos < cells.size(); ++pos) {
-      if (tree_->CompareToCell(0, &key, cells[pos]) <= 0) break;
-    }
-    stack_.push_back({pgno, int(pos)});
-    if (leaf) {
-      if (pos < cells.size()) {
+    XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
+    XFTL_ASSIGN_OR_RETURN(Slot slot,
+                          tree_->Search(ref.data(), h, rowid, key));
+    stack_.push_back({pgno, int(slot.pos)});
+    if (h.leaf) {
+      if (slot.pos < h.ncells) {
         valid_ = true;
         return Status::OK();
       }
       return AdvanceFromLeafEnd();
     }
-    pgno = pos < cells.size() ? cells[pos].child : rc;
+    pgno = slot.pos < h.ncells ? slot.cell.child : h.right_child;
   }
 }
 
@@ -581,14 +675,14 @@ Status BTree::Cursor::AdvanceFromLeafEnd() {
   while (!stack_.empty()) {
     Frame& f = stack_.back();
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-    bool leaf;
-    Pgno rc;
-    XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+    XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
     f.index++;
-    if (f.index <= int(cells.size())) {
-      Pgno child = f.index < int(cells.size()) ? cells[f.index].child : rc;
-      return DescendLeftmost(child);
+    if (f.index < int(h.ncells)) {
+      XFTL_ASSIGN_OR_RETURN(CellView cell,
+                            tree_->CellAt(ref.data(), h, f.index));
+      return DescendLeftmost(cell.child);
     }
+    if (f.index == int(h.ncells)) return DescendLeftmost(h.right_child);
     stack_.pop_back();
   }
   valid_ = false;
@@ -599,36 +693,37 @@ Status BTree::Cursor::Next() {
   CHECK(valid_);
   Frame& f = stack_.back();
   XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+  XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
   f.index++;
-  if (f.index < int(cells.size())) return Status::OK();
+  if (f.index < int(h.ncells)) {
+    // Check the cell now, so that rowid() can assume it decodes.
+    return tree_->CellAt(ref.data(), h, f.index).status();
+  }
   valid_ = false;
   return AdvanceFromLeafEnd();
 }
 
 int64_t BTree::Cursor::rowid() const {
   CHECK(valid_);
-  const Frame& f = stack_.back();
-  auto ref = tree_->pager_->Get(f.pgno);
-  CHECK(ref.ok());
-  bool leaf;
-  Pgno rc;
-  auto cells = tree_->ReadCells(ref.value().data(), &leaf, &rc);
-  CHECK(cells.ok());
-  return cells.value()[f.index].rowid;
+  PageRef ref;
+  auto cell = tree_->PinCell(stack_.back().pgno, stack_.back().index, &ref);
+  CHECK(cell.ok()) << cell.status().ToString();
+  return cell->rowid;
 }
 
 StatusOr<std::vector<uint8_t>> BTree::Cursor::Payload() {
   CHECK(valid_);
-  const Frame& f = stack_.back();
-  XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
-  bool leaf;
-  Pgno rc;
-  XFTL_ASSIGN_OR_RETURN(auto cells, tree_->ReadCells(ref.data(), &leaf, &rc));
+  PageRef ref;
+  XFTL_ASSIGN_OR_RETURN(
+      CellView cell, tree_->PinCell(stack_.back().pgno, stack_.back().index,
+                                    &ref));
+  std::vector<uint8_t> out;
+  out.reserve(cell.payload_total);
+  out.assign(cell.local, cell.local + cell.local_size);
   ref = PageRef();
-  return tree_->AssemblePayload(cells[f.index]);
+  XFTL_RETURN_IF_ERROR(
+      tree_->AppendOverflow(cell.overflow, cell.payload_total, &out));
+  return out;
 }
 
 }  // namespace xftl::sql

@@ -14,6 +14,13 @@
 // Deletion is lazy: empty pages are unlinked and freed, but underfull pages
 // are not rebalanced (a correct and common B+tree variant; SQLite's
 // balance-on-delete is an optimization we do not reproduce).
+//
+// Pages are read in place through bounds-checked cell views, and inserts,
+// replaces and deletes shift the page's bytes in place; only a split
+// decodes a page into owned cells. The sequence of pager calls (Get,
+// MarkDirty, Allocate, Free) and how long each page stays pinned are part
+// of the simulation: the pager's LRU picks evictions, and evictions are
+// simulated I/O. Keep both when changing this code.
 #ifndef XFTL_SQL_BTREE_H_
 #define XFTL_SQL_BTREE_H_
 
@@ -74,6 +81,8 @@ class BTree {
       Pgno pgno = 0;
       int index = 0;  // cell index; == ncells means "in right_child"
     };
+    // Seeks by rowid (key == nullptr) or by encoded key.
+    Status Seek(int64_t rowid, const std::vector<uint8_t>* key);
     Status DescendLeftmost(Pgno pgno);
     Status AdvanceFromLeafEnd();
 
@@ -87,6 +96,8 @@ class BTree {
  private:
   friend class Cursor;
 
+  // An owned copy of a cell: built for inserts, and for every cell of a page
+  // on the split path, the only place a page is decoded into a vector.
   struct Cell {
     int64_t rowid = 0;              // table trees
     Pgno child = kNoPgno;           // interior cells
@@ -100,15 +111,71 @@ class BTree {
     Pgno right;      // page that takes the upper half
   };
 
+  struct PageHeader {
+    bool leaf = false;
+    uint16_t ncells = 0;
+    Pgno right_child = kNoPgno;
+  };
+
+  // A cell decoded in place. `local` points into the page it was read from,
+  // so a view is only good while that page stays pinned and unchanged.
+  struct CellView {
+    int64_t rowid = 0;
+    Pgno child = kNoPgno;
+    uint32_t payload_total = 0;
+    Pgno overflow = kNoPgno;
+    const uint8_t* local = nullptr;
+    uint16_t local_size = 0;
+    size_t size = 0;  // encoded length of the whole cell
+  };
+
+  // Where a probe key falls in a page.
+  struct Slot {
+    size_t pos = 0;      // first cell whose key is >= the probe, or ncells
+    size_t offset = 0;   // byte offset of that cell, or the end of the cells
+    bool exact = false;  // the cell at pos holds the probe's key
+    CellView cell;       // the cell at pos, when pos < ncells
+  };
+
   uint32_t MaxLocal() const;
+  // Bytes of a cell before its local payload.
+  size_t FixedCellSize(bool leaf) const;
   // Key comparison between a probe and a cell (rowid or encoded record).
   int CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
-                    const Cell& cell) const;
+                    const CellView& cell) const;
 
-  // Page (de)serialization.
-  StatusOr<std::vector<Cell>> ReadCells(const uint8_t* page, bool* leaf,
-                                        Pgno* right_child) const;
-  // Fails with ResourceExhausted when the cells do not fit.
+  // Zero-copy page access. Every read is checked against the page size and
+  // fails with Corruption rather than run past the page.
+  StatusOr<PageHeader> ReadHeader(const uint8_t* page) const;
+  // Decodes the cell that starts at byte `off`.
+  Status ViewCell(const uint8_t* page, bool leaf, size_t off,
+                  CellView* cell) const;
+  // Byte offset of cell `index`; index == ncells gives the end of the cells.
+  StatusOr<size_t> CellOffset(const uint8_t* page, const PageHeader& h,
+                              size_t index) const;
+  StatusOr<CellView> CellAt(const uint8_t* page, const PageHeader& h,
+                            size_t index) const;
+  // Pins page `pgno` into *ref and views its cell `index`.
+  StatusOr<CellView> PinCell(Pgno pgno, size_t index, PageRef* ref) const;
+  // The first cell whose key is >= the probe: a walk over the cells, or a
+  // binary search over the fixed-size cells of a table interior page.
+  StatusOr<Slot> Search(const uint8_t* page, const PageHeader& h,
+                        int64_t rowid, const std::vector<uint8_t>* key) const;
+
+  // In-place edits. Splice resizes the `old_size` bytes at `off` to
+  // `new_size`, moving the cells behind them (the cells end at `end`) and
+  // zeroing the bytes freed at the end, so that the page stays byte-identical
+  // to a WriteCells repack of its cells.
+  void Splice(uint8_t* page, size_t off, size_t old_size, size_t new_size,
+              size_t end) const;
+  size_t CellSize(bool leaf, const Cell& cell) const;
+  void EncodeCell(uint8_t* dst, bool leaf, const Cell& cell) const;
+
+  // Split path: every cell of a page as owned copies, and the repack of a
+  // cell list into a page. WriteCells fails with ResourceExhausted, leaving
+  // the page untouched, when the cells do not fit.
+  StatusOr<std::vector<Cell>> ReadCells(const uint8_t* page,
+                                        const PageHeader& h) const;
   Status WriteCells(uint8_t* page, bool leaf, Pgno right_child,
                     const std::vector<Cell>& cells) const;
 
@@ -116,8 +183,13 @@ class BTree {
   StatusOr<Cell> MakeLeafCell(int64_t rowid,
                               const std::vector<uint8_t>& payload);
   Status FreeOverflowChain(Pgno first);
-  StatusOr<std::vector<uint8_t>> AssemblePayload(const Cell& cell);
+  // Appends the overflow chain starting at `first` to *out, which holds a
+  // cell's local payload, until it holds all `total` bytes.
+  Status AppendOverflow(Pgno first, uint32_t total,
+                        std::vector<uint8_t>* out);
 
+  // Inserts from the root; a root split pushes the root's lower half down.
+  Status InsertCell(Cell cell);
   // Recursive insert; returns a split description when `pgno` split.
   StatusOr<std::optional<SplitResult>> InsertInto(Pgno pgno, Cell cell);
   // Recursive delete; sets *emptied when `pgno` became empty and was freed.

@@ -1,10 +1,100 @@
 #include "sql/record.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/coding.h"
 
 namespace xftl::sql {
+
+namespace {
+
+// One value of an encoded record, read in place: text and blob bytes point
+// into the record.
+struct EncodedValue {
+  ValueType type = ValueType::kNull;
+  int64_t i = 0;
+  double r = 0;
+  const uint8_t* bytes = nullptr;
+  uint32_t len = 0;
+};
+
+// Reads the value at data[*off] and advances *off past it. Returns nullptr,
+// or what is wrong with the encoding.
+const char* ReadValue(const uint8_t* data, size_t size, size_t* off,
+                      EncodedValue* v) {
+  if (*off >= size) return "record truncated";
+  v->type = ValueType(data[(*off)++]);
+  switch (v->type) {
+    case ValueType::kNull:
+      return nullptr;
+    case ValueType::kInt:
+    case ValueType::kReal:
+      if (size - *off < 8) return "record truncated";
+      if (v->type == ValueType::kInt) {
+        v->i = int64_t(DecodeFixed64(data + *off));
+      } else {
+        std::memcpy(&v->r, data + *off, 8);
+      }
+      *off += 8;
+      return nullptr;
+    case ValueType::kText:
+    case ValueType::kBlob:
+      if (size - *off < 4) return "record truncated";
+      v->len = DecodeFixed32(data + *off);
+      *off += 4;
+      if (size - *off < v->len) return "record truncated";
+      v->bytes = data + *off;
+      *off += v->len;
+      return nullptr;
+  }
+  return "bad value tag";
+}
+
+// Type classes of Value::Compare: null(0) < numeric(1) < text(2) < blob(3).
+int TypeClass(ValueType t) {
+  switch (t) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kInt:
+    case ValueType::kReal:
+      return 1;
+    case ValueType::kText:
+      return 2;
+    case ValueType::kBlob:
+      return 3;
+  }
+  return 0;
+}
+
+// Value::Compare on encoded values: int against int exactly, any other
+// numeric pair as doubles (NaN compares equal to everything), text and blob
+// bytewise unsigned with the shorter first on a common prefix.
+int CompareValues(const EncodedValue& a, const EncodedValue& b) {
+  int ca = TypeClass(a.type), cb = TypeClass(b.type);
+  if (ca != cb) return ca < cb ? -1 : 1;
+  switch (ca) {
+    case 0:
+      return 0;
+    case 1: {
+      if (a.type == ValueType::kInt && b.type == ValueType::kInt) {
+        return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
+      }
+      double x = a.type == ValueType::kInt ? double(a.i) : a.r;
+      double y = b.type == ValueType::kInt ? double(b.i) : b.r;
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    default: {
+      uint32_t n = std::min(a.len, b.len);
+      int c = n == 0 ? 0 : std::memcmp(a.bytes, b.bytes, n);
+      if (c != 0) return c < 0 ? -1 : 1;
+      if (a.len == b.len) return 0;
+      return a.len < b.len ? -1 : 1;
+    }
+  }
+}
+
+}  // namespace
 
 std::vector<uint8_t> EncodeRecord(const Row& row) {
   std::vector<uint8_t> out;
@@ -55,49 +145,29 @@ StatusOr<Row> DecodeRecord(const uint8_t* data, size_t size) {
   size_t off = 2;
   Row row;
   row.reserve(count);
+  EncodedValue v;
   for (uint16_t i = 0; i < count; ++i) {
-    if (off >= size) return Status::Corruption("record truncated");
-    ValueType type = ValueType(data[off++]);
-    switch (type) {
+    if (const char* err = ReadValue(data, size, &off, &v)) {
+      return Status::Corruption(err);
+    }
+    switch (v.type) {
       case ValueType::kNull:
         row.push_back(Value::Null());
         break;
-      case ValueType::kInt: {
-        if (off + 8 > size) return Status::Corruption("record truncated");
-        row.push_back(Value::Int(int64_t(DecodeFixed64(data + off))));
-        off += 8;
+      case ValueType::kInt:
+        row.push_back(Value::Int(v.i));
         break;
-      }
-      case ValueType::kReal: {
-        if (off + 8 > size) return Status::Corruption("record truncated");
-        double d;
-        std::memcpy(&d, data + off, 8);
-        row.push_back(Value::Real(d));
-        off += 8;
+      case ValueType::kReal:
+        row.push_back(Value::Real(v.r));
         break;
-      }
-      case ValueType::kText: {
-        if (off + 4 > size) return Status::Corruption("record truncated");
-        uint32_t len = DecodeFixed32(data + off);
-        off += 4;
-        if (off + len > size) return Status::Corruption("record truncated");
+      case ValueType::kText:
         row.push_back(Value::Text(
-            std::string(reinterpret_cast<const char*>(data + off), len)));
-        off += len;
+            std::string(reinterpret_cast<const char*>(v.bytes), v.len)));
         break;
-      }
-      case ValueType::kBlob: {
-        if (off + 4 > size) return Status::Corruption("record truncated");
-        uint32_t len = DecodeFixed32(data + off);
-        off += 4;
-        if (off + len > size) return Status::Corruption("record truncated");
-        row.push_back(Value::Blob(
-            std::vector<uint8_t>(data + off, data + off + len)));
-        off += len;
+      case ValueType::kBlob:
+        row.push_back(Value::Blob(std::vector<uint8_t>(v.bytes,
+                                                       v.bytes + v.len)));
         break;
-      }
-      default:
-        return Status::Corruption("bad value tag");
     }
   }
   return row;
@@ -105,18 +175,22 @@ StatusOr<Row> DecodeRecord(const uint8_t* data, size_t size) {
 
 int CompareEncodedRecords(const uint8_t* a, size_t a_size, const uint8_t* b,
                           size_t b_size) {
-  auto ra = DecodeRecord(a, a_size);
-  auto rb = DecodeRecord(b, b_size);
-  CHECK(ra.ok() && rb.ok()) << "comparing corrupt records";
-  const Row& x = ra.value();
-  const Row& y = rb.value();
-  size_t n = std::min(x.size(), y.size());
-  for (size_t i = 0; i < n; ++i) {
-    int c = x[i].Compare(y[i]);
+  CHECK(a_size >= 2 && b_size >= 2) << "comparing corrupt records";
+  const uint16_t a_count = DecodeFixed16(a);
+  const uint16_t b_count = DecodeFixed16(b);
+  const uint16_t n = std::min(a_count, b_count);
+  size_t a_off = 2, b_off = 2;
+  EncodedValue x, y;
+  for (uint16_t i = 0; i < n; ++i) {
+    const char* a_err = ReadValue(a, a_size, &a_off, &x);
+    const char* b_err = ReadValue(b, b_size, &b_off, &y);
+    CHECK(a_err == nullptr && b_err == nullptr)
+        << "comparing corrupt records";
+    int c = CompareValues(x, y);
     if (c != 0) return c;
   }
-  if (x.size() == y.size()) return 0;
-  return x.size() < y.size() ? -1 : 1;
+  if (a_count == b_count) return 0;
+  return a_count < b_count ? -1 : 1;
 }
 
 }  // namespace xftl::sql

@@ -167,6 +167,34 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
 
 TEST(Crc32Test, EmptyInput) { EXPECT_EQ(Crc32c("", 0), 0u); }
 
+// Bytewise reference: one table lookup per byte, the textbook CRC-32C.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t n, uint32_t init) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    table[i] = crc;
+  }
+  uint32_t crc = ~init;
+  for (size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  Rng rng(32);
+  std::vector<uint8_t> buf(1024 + 8);
+  rng.FillBytes(buf.data(), buf.size());
+  for (uint32_t init : {0u, 1u, 0xE3069283u, 0xFFFFFFFFu}) {
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t n = 0; n <= 1024; ++n) {
+        const uint8_t* p = buf.data() + align;
+        ASSERT_EQ(Crc32c(p, n, init), ReferenceCrc32c(p, n, init))
+            << "n=" << n << " align=" << align << " init=" << init;
+      }
+    }
+  }
+}
+
 TEST(CodingTest, RoundTrip) {
   uint8_t buf[8];
   EncodeFixed16(buf, 0xBEEF);

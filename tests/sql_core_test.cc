@@ -2,9 +2,14 @@
 // pager (journal modes incl. steal/force + recovery) and B+tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
+#include <set>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "fs/ext_fs.h"
@@ -79,6 +84,72 @@ TEST(RecordTest, ComparisonIsLexicographic) {
   // Prefix sorts first.
   auto p = EncodeRecord({Value::Int(1)});
   EXPECT_LT(CompareEncodedRecords(p.data(), p.size(), a.data(), a.size()), 0);
+}
+
+// A value drawn to hit Value::Compare's edge cases: int/real ties (3 vs
+// 3.0), NaN, int64 extremes beyond a double's precision, text with bytes
+// >= 0x80 and embedded NULs, and short blobs that are prefixes of each other.
+Value RandomEdgeValue(Rng& rng) {
+  static const char kAlphabet[] = {'a', 'b', '\0', '\x7f', '\x80', '\xff'};
+  auto bytes = [&] {
+    std::string s(rng.Uniform(4), ' ');
+    for (char& c : s) c = kAlphabet[rng.Uniform(sizeof(kAlphabet))];
+    return s;
+  };
+  switch (rng.Uniform(8)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Int(rng.UniformRange(-3, 3));
+    case 2:
+      return Value::Real(double(rng.UniformRange(-3, 3)));
+    case 3:
+      return Value::Real(rng.Bernoulli(0.3) ? std::nan("")
+                                            : rng.UniformRange(-6, 6) / 2.0);
+    case 4: {
+      const int64_t kExtremes[] = {INT64_MIN, INT64_MAX, (int64_t(1) << 53) + 1,
+                                   int64_t(1) << 53};
+      return Value::Int(kExtremes[rng.Uniform(4)]);
+    }
+    case 5:
+    case 6:
+      return Value::Text(bytes());
+    default: {
+      std::string s = bytes();
+      return Value::Blob(std::vector<uint8_t>(s.begin(), s.end()));
+    }
+  }
+}
+
+TEST(RecordTest, InPlaceCompareMatchesDecodedCompare) {
+  Rng rng(13);
+  for (int i = 0; i < 20000; ++i) {
+    Row a(rng.Uniform(4));
+    for (Value& v : a) v = RandomEdgeValue(rng);
+    // Half the pairs share a prefix: b is a prefix of a, or a plus more.
+    Row b;
+    if (rng.Bernoulli(0.5)) {
+      b.assign(a.begin(), a.begin() + rng.Uniform(a.size() + 1));
+      while (rng.Bernoulli(0.4)) b.push_back(RandomEdgeValue(rng));
+    } else {
+      b.resize(rng.Uniform(4));
+      for (Value& v : b) v = RandomEdgeValue(rng);
+    }
+    int want = 0;
+    for (size_t k = 0; want == 0 && k < std::min(a.size(), b.size()); ++k) {
+      want = a[k].Compare(b[k]);
+    }
+    if (want == 0 && a.size() != b.size()) want = a.size() < b.size() ? -1 : 1;
+
+    auto ea = EncodeRecord(a);
+    auto eb = EncodeRecord(b);
+    ASSERT_EQ(CompareEncodedRecords(ea.data(), ea.size(), eb.data(), eb.size()),
+              want)
+        << "pair " << i;
+    ASSERT_EQ(CompareEncodedRecords(eb.data(), eb.size(), ea.data(), ea.size()),
+              -want)
+        << "pair " << i;
+  }
 }
 
 // --- parser -----------------------------------------------------------------
@@ -694,6 +765,220 @@ TEST_F(BTreeTest, RandomisedModelCheck) {
   auto report = CheckBTree(pager_.get(), *root, /*is_index=*/false);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->cells, model.size());
+}
+
+// Reference repack of one b-tree page, written from the page format and
+// independent of btree.cc: decodes every cell, then encodes the cells into a
+// zeroed page as a full rewrite of the page would. Appends the page's
+// children to *children.
+std::vector<uint8_t> RepackPage(const uint8_t* page, size_t page_size,
+                                std::vector<Pgno>* children) {
+  struct RefCell {
+    Pgno child = kNoPgno;
+    int64_t rowid = 0;
+    uint32_t total = 0;
+    Pgno overflow = kNoPgno;
+    std::vector<uint8_t> local;
+  };
+  const uint8_t type = page[0];
+  const bool leaf = type == 1 || type == 3;
+  const bool index = type == 3 || type == 4;
+  const uint16_t ncells = DecodeFixed16(page + 1);
+  const Pgno right_child = DecodeFixed32(page + 3);
+  std::vector<RefCell> cells(ncells);
+  size_t off = 9;
+  for (RefCell& c : cells) {
+    if (!leaf) {
+      c.child = DecodeFixed32(page + off);
+      off += 4;
+      children->push_back(c.child);
+    }
+    if (!index) {
+      c.rowid = int64_t(DecodeFixed64(page + off));
+      off += 8;
+    }
+    if (index || leaf) {
+      c.total = DecodeFixed32(page + off);
+      uint16_t local = DecodeFixed16(page + off + 4);
+      c.overflow = DecodeFixed32(page + off + 6);
+      off += 10;
+      CHECK(off + local <= page_size);
+      c.local.assign(page + off, page + off + local);
+      off += local;
+    }
+  }
+  if (!leaf) children->push_back(right_child);
+
+  std::vector<uint8_t> out(page_size, 0);
+  out[0] = type;
+  EncodeFixed16(out.data() + 1, ncells);
+  EncodeFixed32(out.data() + 3, right_child);
+  off = 9;
+  for (const RefCell& c : cells) {
+    if (!leaf) {
+      EncodeFixed32(out.data() + off, c.child);
+      off += 4;
+    }
+    if (!index) {
+      EncodeFixed64(out.data() + off, uint64_t(c.rowid));
+      off += 8;
+    }
+    if (index || leaf) {
+      EncodeFixed32(out.data() + off, c.total);
+      EncodeFixed16(out.data() + off + 4, uint16_t(c.local.size()));
+      EncodeFixed32(out.data() + off + 6, c.overflow);
+      off += 10;
+      std::memcpy(out.data() + off, c.local.data(), c.local.size());
+      off += c.local.size();
+    }
+  }
+  return out;
+}
+
+// Every page of the tree under `root` equals the repack of its cells: the
+// in-place leaf and interior edits leave no stale bytes behind.
+void ExpectPagesRepacked(Pager* pager, Pgno root, const std::string& when) {
+  std::vector<Pgno> todo = {root};
+  while (!todo.empty()) {
+    Pgno pgno = todo.back();
+    todo.pop_back();
+    auto ref = pager->Get(pgno);
+    ASSERT_TRUE(ref.ok());
+    std::vector<uint8_t> page(ref->data(), ref->data() + pager->page_size());
+    ASSERT_EQ(page, RepackPage(page.data(), page.size(), &todo))
+        << "page " << pgno << " after " << when;
+  }
+}
+
+TEST_F(BTreeTest, InPlaceEditsMatchRepackTable) {
+  auto root = BTree::Create(pager_.get(), false);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, false);
+  std::map<int64_t, std::vector<uint8_t>> model;
+  Rng rng(17);
+  for (int op = 0; op < 2000; ++op) {
+    int64_t k = int64_t(rng.Uniform(300));
+    std::string when = "op " + std::to_string(op) + " key " + std::to_string(k);
+    if (rng.Uniform(3) < 2) {
+      // Sizes from a few bytes to past the local budget (overflow pages), so
+      // replaces both grow and shrink cells.
+      size_t size = rng.Bernoulli(0.05) ? 300 + rng.Uniform(900)
+                                        : rng.Uniform(120);
+      auto payload = Payload(op, size);
+      ASSERT_TRUE(tree.Insert(k, payload).ok()) << when;
+      model[k] = payload;
+    } else {
+      Status s = tree.Delete(k);
+      ASSERT_EQ(s.ok(), model.erase(k) == 1) << when;
+    }
+    ExpectPagesRepacked(pager_.get(), *root, when);
+    if (HasFatalFailure()) return;
+  }
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.First().ok());
+  for (const auto& [rowid, payload] : model) {
+    ASSERT_TRUE(cursor.valid());
+    EXPECT_EQ(cursor.rowid(), rowid);
+    EXPECT_EQ(cursor.Payload().value(), payload);
+    ASSERT_TRUE(cursor.Next().ok());
+  }
+  EXPECT_FALSE(cursor.valid());
+  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+}
+
+TEST_F(BTreeTest, InPlaceEditsMatchRepackIndex) {
+  auto root = BTree::Create(pager_.get(), true);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, true);
+  auto less = [](const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+    return CompareEncodedRecords(a.data(), a.size(), b.data(), b.size()) < 0;
+  };
+  std::set<std::vector<uint8_t>, decltype(less)> model(less);
+  std::vector<std::vector<uint8_t>> pool;
+  Rng rng(19);
+  for (int i = 0; i < 250; ++i) {
+    pool.push_back(EncodeRecord(
+        {Value::Text(rng.AlphaString(rng.Uniform(60))), Value::Int(i)}));
+  }
+  for (int op = 0; op < 2000; ++op) {
+    const auto& key = pool[rng.Uniform(pool.size())];
+    std::string when = "op " + std::to_string(op);
+    if (rng.Uniform(3) < 2) {
+      // Re-inserting a present key replaces it in place.
+      ASSERT_TRUE(tree.InsertKey(key).ok()) << when;
+      model.insert(key);
+    } else {
+      Status s = tree.DeleteKey(key);
+      ASSERT_EQ(s.ok(), model.erase(key) == 1) << when;
+    }
+    ExpectPagesRepacked(pager_.get(), *root, when);
+    if (HasFatalFailure()) return;
+  }
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.First().ok());
+  for (const auto& key : model) {
+    ASSERT_TRUE(cursor.valid());
+    EXPECT_EQ(cursor.Payload().value(), key);
+    ASSERT_TRUE(cursor.Next().ok());
+  }
+  EXPECT_FALSE(cursor.valid());
+  auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+}
+
+// Overwrites bytes of page `pgno`, as a torn or corrupt page would.
+void CorruptPage(Pager* pager, Pgno pgno, size_t off,
+                 std::vector<uint8_t> bytes) {
+  auto ref = pager->Get(pgno);
+  CHECK(ref.ok());
+  CHECK(ref->MarkDirty().ok());
+  std::memcpy(ref->data() + off, bytes.data(), bytes.size());
+}
+
+TEST_F(BTreeTest, CorruptCellCountIsCorruption) {
+  for (bool is_index : {false, true}) {
+    auto root = BTree::Create(pager_.get(), is_index);
+    ASSERT_TRUE(root.ok());
+    BTree tree(pager_.get(), *root, is_index);
+    for (int64_t k = 1; k <= 5; ++k) {
+      ASSERT_TRUE((is_index ? tree.InsertKey(EncodeRecord({Value::Int(k)}))
+                            : tree.Insert(k, Payload(k)))
+                      .ok());
+    }
+    CorruptPage(pager_.get(), *root, 1, {0xFF, 0xFF});  // ncells = 0xFFFF
+    auto key = EncodeRecord({Value::Int(3)});
+    auto cursor = tree.NewCursor();
+    EXPECT_TRUE(cursor.First().IsCorruption()) << is_index;
+    EXPECT_TRUE((is_index ? cursor.SeekGEKey(key) : cursor.SeekGE(3))
+                    .IsCorruption())
+        << is_index;
+    EXPECT_TRUE((is_index ? tree.InsertKey(EncodeRecord({Value::Int(6)}))
+                          : tree.Insert(6, Payload(6)))
+                    .IsCorruption())
+        << is_index;
+    EXPECT_TRUE((is_index ? tree.DeleteKey(key) : tree.Delete(3))
+                    .IsCorruption())
+        << is_index;
+  }
+}
+
+TEST_F(BTreeTest, CorruptLocalLengthIsCorruption) {
+  auto root = BTree::Create(pager_.get(), false);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, false);
+  for (int64_t k = 1; k <= 5; ++k) {
+    ASSERT_TRUE(tree.Insert(k, Payload(k)).ok());
+  }
+  // The first cell's local length (after the 9-byte header, the rowid and the
+  // payload total) runs far past the 1 KiB page.
+  CorruptPage(pager_.get(), *root, 9 + 8 + 4, {0xF0, 0xFF});
+  auto cursor = tree.NewCursor();
+  EXPECT_TRUE(cursor.First().IsCorruption());
+  EXPECT_TRUE(cursor.SeekGE(3).IsCorruption());
+  EXPECT_TRUE(tree.Insert(6, Payload(6)).IsCorruption());
+  EXPECT_TRUE(tree.MaxRowid().status().IsCorruption());
+  EXPECT_FALSE(CheckBTree(pager_.get(), *root, false).ok());
 }
 
 TEST_F(BTreeTest, CheckerDetectsCorruption) {
