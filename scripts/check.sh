@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build and run the full test suite plain, under ASan, and under
-# UBSan. Each configuration builds into its own tree so switching sanitizers
-# never poisons an existing build.
+# Tier-1 gate: build and run the full test suite plain, under ASan, under
+# UBSan, and with DCHECKs on. Each configuration builds into its own tree so
+# switching sanitizers never poisons an existing build.
 #
-#   scripts/check.sh                      # all three configurations
+#   scripts/check.sh                      # all four configurations
 #   scripts/check.sh plain                # just the plain build
 #   scripts/check.sh asan ubsan           # a subset
+#   scripts/check.sh dcheck               # RelWithDebInfo without NDEBUG:
+#                                         # every DCHECK runs
 #   scripts/check.sh host                 # host_test (sessions/volume/
 #                                         # scheduler) alone, under ASan
 #   scripts/check.sh --sweep-seeds=500    # crash states per sweep config
@@ -40,7 +42,7 @@ for arg in "$@"; do
   esac
 done
 if [ ${#CONFIGS[@]} -eq 0 ]; then
-  CONFIGS=(plain asan ubsan)
+  CONFIGS=(plain asan ubsan dcheck)
 fi
 
 run_config() {
@@ -71,8 +73,12 @@ for cfg in "${CONFIGS[@]}"; do
     plain) run_config plain -DXFTL_ASAN=OFF -DXFTL_UBSAN=OFF ;;
     asan)  run_config asan -DXFTL_ASAN=ON -DXFTL_UBSAN=OFF ;;
     ubsan) run_config ubsan -DXFTL_ASAN=OFF -DXFTL_UBSAN=ON ;;
+    # Every other configuration defines NDEBUG, which compiles DCHECKs out.
+    dcheck) run_config dcheck -DXFTL_ASAN=OFF -DXFTL_UBSAN=OFF \
+              -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+              -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" ;;
     host)  run_host ;;
-    *) echo "unknown configuration: ${cfg} (plain|asan|ubsan|host)" >&2; exit 2 ;;
+    *) echo "unknown configuration: ${cfg} (plain|asan|ubsan|dcheck|host)" >&2; exit 2 ;;
   esac
 done
 

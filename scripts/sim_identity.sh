@@ -7,12 +7,18 @@
 #   scripts/sim_identity.sh HEAD~1             # seeds 1,2,3
 #   scripts/sim_identity.sh main 5,905,917
 #
-# <base-ref> is checked out with `git worktree` into a temporary directory
+# <base-ref> is exported with `git archive` into a temporary directory
 # (under $TMPDIR when set). Both trees are built through perfbench/run.py,
 # each with its own CARGO_TARGET_DIR there. Every workload of BENCHMARK.json
 # then runs once per seed with --seconds 1, with --trace 0 (end-to-end
 # metrics) and --trace 1 (per-layer metrics); the base and working-tree runs
 # of one configuration run side by side.
+#
+# Then it builds the bench/ binaries of both trees (CMake's default
+# RelWithDebInfo), runs each one at its default scale, base and working
+# tree side by side, and requires their standard output and exit status to
+# be identical. That covers every bench that bench/CMakeLists.txt registers
+# with xftl_add_bench: all but micro_stack, which prints wall-clock times.
 #
 # Every metric is compared exactly, and so are the correct/attempted/failed
 # fields of each result, except the host-time figures, which depend on the
@@ -30,15 +36,12 @@ ROOT="$(pwd)"
 BASE="$(git rev-parse --verify "$1^{commit}")"
 SEEDS="${2:-1,2,3}"
 WORKLOADS="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+JOBS="$(nproc 2>/dev/null || echo 4)"
 
 TMP="$(mktemp -d)"
-cleanup() {
-  git -C "${ROOT}" worktree remove --force "${TMP}/base" > /dev/null 2>&1 || true
-  git -C "${ROOT}" worktree prune
-  rm -rf "${TMP}"
-}
-trap cleanup EXIT
-git worktree add --detach "${TMP}/base" "${BASE}" > /dev/null 2>&1
+trap 'rm -rf "${TMP}"' EXIT
+mkdir "${TMP}/base"
+git archive "${BASE}" | tar -x -C "${TMP}/base"
 
 # run <tree> <name> <workload> <seed> <trace>: the run's result line, in
 # ${TMP}/<name>.json (empty when the run printed none).
@@ -107,6 +110,46 @@ EOF
     done
   done
 done
+
+# bench_diff: builds both trees' benches, runs each pair side by side and
+# compares their standard output and exit status.
+bench_diff() {
+  local benches tree name rc=0
+  benches="$(sed -n 's/^xftl_add_bench(\(.*\))$/\1/p' bench/CMakeLists.txt)"
+  for tree in base head; do
+    local src="${TMP}/base"
+    [ "${tree}" = head ] && src="${ROOT}"
+    if ! { cmake -S "${src}" -B "${TMP}/build-${tree}" > /dev/null &&
+           cmake --build "${TMP}/build-${tree}" -j "${JOBS}" \
+             --target ${benches} > "${TMP}/build-${tree}.log" 2>&1; }; then
+      tail -n 20 "${TMP}/build-${tree}.log" >&2
+      echo "bench: the ${tree} build failed"
+      return 2
+    fi
+  done
+  for name in ${benches}; do
+    for tree in base head; do
+      mkdir -p "${TMP}/run-${tree}"
+      (cd "${TMP}/run-${tree}" &&
+        "${TMP}/build-${tree}/bench/${name}" > "${TMP}/${name}.${tree}.out" \
+          2> /dev/null; echo "$?" >> "${TMP}/${name}.${tree}.out") &
+    done
+    wait
+    # The last line of each output is the bench's exit status.
+    if cmp -s "${TMP}/${name}.base.out" "${TMP}/${name}.head.out"; then
+      echo "bench ${name}: $(wc -l < "${TMP}/${name}.head.out") lines identical"
+    else
+      echo "bench ${name}: DIFF"
+      diff "${TMP}/${name}.base.out" "${TMP}/${name}.head.out" | head -n 10
+      rc=1
+    fi
+  done
+  return "${rc}"
+}
+
+rc=0
+bench_diff || rc=$?
+if [ "${rc}" -gt "${status}" ]; then status="${rc}"; fi
 
 if [ "${status}" -eq 0 ]; then
   echo "sim_identity: every simulated metric matches ${BASE:0:12}"

@@ -124,11 +124,15 @@ StatusOr<BTree::CellView> BTree::CellAt(const uint8_t* page,
 }
 
 StatusOr<BTree::CellView> BTree::PinCell(Pgno pgno, size_t index,
-                                         PageRef* ref) const {
+                                         size_t offset, PageRef* ref) const {
   XFTL_ASSIGN_OR_RETURN(*ref, pager_->Get(pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref->data()));
   if (index >= h.ncells) return Status::Corruption("btree cursor past page");
-  return CellAt(ref->data(), h, index);
+  // A write to the page since the cursor moved would leave `offset` stale.
+  DCHECK_EQ(offset, CellOffset(ref->data(), h, index).value());
+  CellView cell;
+  XFTL_RETURN_IF_ERROR(ViewCell(ref->data(), h.leaf, offset, &cell));
+  return cell;
 }
 
 StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
@@ -616,13 +620,15 @@ Status BTree::Cursor::DescendLeftmost(Pgno pgno) {
   while (true) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
     XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
-    stack_.push_back({pgno, 0});
+    stack_.push_back({pgno, 0, kPageHeader});
     if (h.ncells == 0) {
       if (h.leaf) return AdvanceFromLeafEnd();
       pgno = h.right_child;
       continue;
     }
-    XFTL_ASSIGN_OR_RETURN(CellView first, tree_->CellAt(ref.data(), h, 0));
+    CellView first;
+    XFTL_RETURN_IF_ERROR(
+        tree_->ViewCell(ref.data(), h.leaf, kPageHeader, &first));
     if (h.leaf) {
       valid_ = true;
       return Status::OK();
@@ -656,7 +662,7 @@ Status BTree::Cursor::Seek(int64_t rowid, const std::vector<uint8_t>* key) {
     XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
     XFTL_ASSIGN_OR_RETURN(Slot slot,
                           tree_->Search(ref.data(), h, rowid, key));
-    stack_.push_back({pgno, int(slot.pos)});
+    stack_.push_back({pgno, int(slot.pos), slot.offset});
     if (h.leaf) {
       if (slot.pos < h.ncells) {
         valid_ = true;
@@ -676,10 +682,14 @@ Status BTree::Cursor::AdvanceFromLeafEnd() {
     Frame& f = stack_.back();
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
     XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
+    CellView cell;
+    if (f.index < int(h.ncells)) {
+      XFTL_RETURN_IF_ERROR(tree_->ViewCell(ref.data(), false, f.offset, &cell));
+      f.offset += cell.size;
+    }
     f.index++;
     if (f.index < int(h.ncells)) {
-      XFTL_ASSIGN_OR_RETURN(CellView cell,
-                            tree_->CellAt(ref.data(), h, f.index));
+      XFTL_RETURN_IF_ERROR(tree_->ViewCell(ref.data(), false, f.offset, &cell));
       return DescendLeftmost(cell.child);
     }
     if (f.index == int(h.ncells)) return DescendLeftmost(h.right_child);
@@ -694,10 +704,15 @@ Status BTree::Cursor::Next() {
   Frame& f = stack_.back();
   XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(f.pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
+  CellView cell;
+  if (f.index < int(h.ncells)) {
+    XFTL_RETURN_IF_ERROR(tree_->ViewCell(ref.data(), h.leaf, f.offset, &cell));
+    f.offset += cell.size;
+  }
   f.index++;
   if (f.index < int(h.ncells)) {
     // Check the cell now, so that rowid() can assume it decodes.
-    return tree_->CellAt(ref.data(), h, f.index).status();
+    return tree_->ViewCell(ref.data(), h.leaf, f.offset, &cell);
   }
   valid_ = false;
   return AdvanceFromLeafEnd();
@@ -706,7 +721,8 @@ Status BTree::Cursor::Next() {
 int64_t BTree::Cursor::rowid() const {
   CHECK(valid_);
   PageRef ref;
-  auto cell = tree_->PinCell(stack_.back().pgno, stack_.back().index, &ref);
+  const Frame& f = stack_.back();
+  auto cell = tree_->PinCell(f.pgno, f.index, f.offset, &ref);
   CHECK(cell.ok()) << cell.status().ToString();
   return cell->rowid;
 }
@@ -714,9 +730,9 @@ int64_t BTree::Cursor::rowid() const {
 StatusOr<std::vector<uint8_t>> BTree::Cursor::Payload() {
   CHECK(valid_);
   PageRef ref;
-  XFTL_ASSIGN_OR_RETURN(
-      CellView cell, tree_->PinCell(stack_.back().pgno, stack_.back().index,
-                                    &ref));
+  const Frame& f = stack_.back();
+  XFTL_ASSIGN_OR_RETURN(CellView cell,
+                        tree_->PinCell(f.pgno, f.index, f.offset, &ref));
   std::vector<uint8_t> out;
   out.reserve(cell.payload_total);
   out.assign(cell.local, cell.local + cell.local_size);

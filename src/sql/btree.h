@@ -58,7 +58,8 @@ class BTree {
   Status DeleteKey(const std::vector<uint8_t>& key);
 
   // --- cursor ----------------------------------------------------------------
-  // Cursors are invalidated by any write to the tree.
+  // Cursors are invalidated by any write to the tree: each frame keeps the
+  // byte offset of its cell, which an edit of the page moves.
   class Cursor {
    public:
     explicit Cursor(BTree* tree) : tree_(tree) {}
@@ -80,6 +81,8 @@ class BTree {
     struct Frame {
       Pgno pgno = 0;
       int index = 0;  // cell index; == ncells means "in right_child"
+      size_t offset = 0;  // byte offset of cell `index`, or of the end of
+                          // the cells when index == ncells
     };
     // Seeks by rowid (key == nullptr) or by encoded key.
     Status Seek(int64_t rowid, const std::vector<uint8_t>* key);
@@ -155,8 +158,10 @@ class BTree {
                               size_t index) const;
   StatusOr<CellView> CellAt(const uint8_t* page, const PageHeader& h,
                             size_t index) const;
-  // Pins page `pgno` into *ref and views its cell `index`.
-  StatusOr<CellView> PinCell(Pgno pgno, size_t index, PageRef* ref) const;
+  // Pins leaf page `pgno` into *ref and views its cell `index`, which
+  // starts at byte `offset`.
+  StatusOr<CellView> PinCell(Pgno pgno, size_t index, size_t offset,
+                             PageRef* ref) const;
   // The first cell whose key is >= the probe: a walk over the cells, or a
   // binary search over the fixed-size cells of a table interior page.
   StatusOr<Slot> Search(const uint8_t* page, const PageHeader& h,

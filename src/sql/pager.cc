@@ -322,12 +322,16 @@ Status Pager::MarkPageDirty(Pgno pgno) {
   auto it = cache_.find(pgno);
   CHECK(it != cache_.end()) << "dirtying a page that is not cached";
   CacheEntry& e = it->second;
-  if (options_.journal_mode == SqlJournalMode::kDelete && !e.journaled) {
-    // Save the transaction-start version before the first modification.
+  if (e.dirty) return Status::OK();
+  if (options_.journal_mode == SqlJournalMode::kDelete &&
+      txn_dirtied_.count(pgno) == 0) {
+    // Save the transaction-start version before the first modification. A
+    // page stolen and read back is clean but journaled already: journaling
+    // it again would save its stolen content for a rollback to restore.
     XFTL_RETURN_IF_ERROR(JournalOriginal(pgno, e.data.data()));
-    e.journaled = true;
   }
   e.dirty = true;
+  txn_dirtied_.insert(pgno);
   return Status::OK();
 }
 
@@ -429,6 +433,7 @@ Status Pager::Begin() {
   if (in_txn_ || read_txn_) {
     return Status::FailedPrecondition("transaction already open");
   }
+  DCHECK(txn_dirtied_.empty());
   in_txn_ = true;
   db_dirtied_in_txn_ = false;
   journal_records_ = 0;
@@ -500,10 +505,10 @@ Status Pager::Commit() {
   if (!in_txn_) return Status::FailedPrecondition("no open transaction");
   SimNanos t0 = fs_->clock()->Now();
   std::vector<Pgno> dirty;
-  for (auto& [pgno, e] : cache_) {
-    if (e.dirty) dirty.push_back(pgno);
+  for (Pgno pgno : txn_dirtied_) {
+    auto it = cache_.find(pgno);
+    if (it != cache_.end() && it->second.dirty) dirty.push_back(pgno);
   }
-  std::sort(dirty.begin(), dirty.end());
 
   switch (options_.journal_mode) {
     case SqlJournalMode::kDelete: {
@@ -570,7 +575,7 @@ Status Pager::Commit() {
       break;
     }
   }
-  for (auto& [pgno, e] : cache_) e.journaled = false;
+  txn_dirtied_.clear();
   in_txn_ = false;
   stats_.commits++;
   TraceSql(trace::Op::kCommit, t0, dirty.size(), StatusCode::kOk);
@@ -607,21 +612,23 @@ Status Pager::Rollback() {
       break;
     }
   }
-  // Drop all dirty pages; clean versions reload on demand.
-  std::vector<Pgno> drop;
-  for (auto& [pgno, e] : cache_) {
-    if (e.dirty || e.journaled) drop.push_back(pgno);
+  // Drop every cached page the transaction changed; committed versions
+  // reload on demand. A clean one among them was stolen and read back, so
+  // it holds the rolled-back content too.
+  size_t dropped = 0;
+  for (Pgno pgno : txn_dirtied_) {
+    auto it = cache_.find(pgno);
+    if (it == cache_.end()) continue;
+    CHECK_EQ(it->second.pins, 0) << "rolling back a pinned page";
+    lru_.erase(it->second.lru_it);
+    cache_.erase(it);
+    dropped++;
   }
-  for (Pgno pgno : drop) {
-    CacheEntry& e = cache_.at(pgno);
-    CHECK_EQ(e.pins, 0) << "rolling back a pinned page";
-    lru_.erase(e.lru_it);
-    cache_.erase(pgno);
-  }
+  txn_dirtied_.clear();
   in_txn_ = false;
   stats_.rollbacks++;
   XFTL_RETURN_IF_ERROR(LoadHeader());
-  TraceSql(trace::Op::kRollback, t0, drop.size(), StatusCode::kOk);
+  TraceSql(trace::Op::kRollback, t0, dropped, StatusCode::kOk);
   return Status::OK();
 }
 
@@ -723,20 +730,15 @@ Status Pager::ReplayHotJournal() {
         break;  // torn record; everything before it is still valid
       }
       XFTL_RETURN_IF_ERROR(WritePageToDb(pgno, rec.data() + 4));
-      cache_.erase(pgno);  // drop any stale cached copy
     }
     XFTL_RETURN_IF_ERROR(fs_->Fsync(db_fd_));
   }
   // An unreadable or unfinalized header means the transaction never reached
   // its first database write, so the database is already consistent.
-  XFTL_RETURN_IF_ERROR(DeleteJournal());
-  // The LRU list may now contain erased entries; rebuild it.
-  lru_.clear();
-  for (auto& [pgno, e] : cache_) {
-    lru_.push_front(pgno);
-    e.lru_it = lru_.begin();
-  }
-  return Status::OK();
+  // Cached copies of the replayed pages are left to the caller: the cache
+  // is empty at Open, and Rollback() drops every page the transaction
+  // dirtied, which includes every journaled page.
+  return DeleteJournal();
 }
 
 // ---------------------------------------------------------------------------

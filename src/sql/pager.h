@@ -25,6 +25,7 @@
 
 #include <list>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -187,8 +188,9 @@ class Pager {
 
   struct CacheEntry {
     std::vector<uint8_t> data;
+    // Changed in the current write transaction. In kDelete mode the page's
+    // original content is in the journal.
     bool dirty = false;
-    bool journaled = false;  // original content saved to rollback journal
     int pins = 0;
     std::list<Pgno>::iterator lru_it;
   };
@@ -257,6 +259,12 @@ class Pager {
 
   std::unordered_map<Pgno, CacheEntry> cache_;
   std::list<Pgno> lru_;
+  // Pages dirtied in the current write transaction, so that commit and
+  // rollback never walk the whole cache. A stolen page may no longer be
+  // cached, or be cached clean after a re-read: Commit() writes the cached
+  // dirty ones, Rollback() drops every cached one. In kDelete mode these
+  // are exactly the pages journaled in the transaction.
+  std::set<Pgno> txn_dirtied_;
 
   // Rollback-journal state.
   fs::Fd journal_fd_ = -1;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <list>
 #include <map>
 #include <set>
 
@@ -451,6 +452,294 @@ TEST_P(PagerTest, HeaderFieldsPersist) {
   ASSERT_TRUE(pager->Close().ok());
   pager = OpenPager();
   EXPECT_EQ(pager->GetHeaderField(2).value(), 0xCAFEu);
+}
+
+// Shadow of the pager's LRU page cache: which pages are cached, in what
+// order, and which are dirty. It predicts exactly which pages a steal or a
+// commit writes.
+class CacheModel {
+ public:
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
+
+  // Pager::FetchPage: a hit moves `pgno` to the front; a miss first evicts
+  // least-recently-used pages other than `pinned`, stealing the dirty ones.
+  void Fetch(Pgno pgno, Pgno pinned = kNoPgno) {
+    auto it = std::find(lru_.begin(), lru_.end(), pgno);
+    if (it != lru_.end()) {
+      lru_.erase(it);
+    } else {
+      while (lru_.size() >= capacity_) {
+        auto victim = std::find_if(lru_.rbegin(), lru_.rend(),
+                                   [&](Pgno p) { return p != pinned; });
+        if (victim == lru_.rend()) break;
+        steals += dirty_.erase(*victim);
+        lru_.erase(std::next(victim).base());
+      }
+    }
+    lru_.push_front(pgno);
+  }
+  void MarkDirty(Pgno pgno) {
+    dirty_.insert(pgno);
+    changed_.insert(pgno);
+  }
+  uint64_t dirty_count() const { return dirty_.size(); }
+  // Pager::Rollback: every page the transaction changed leaves the cache.
+  void Rollback() {
+    for (Pgno pgno : changed_) lru_.remove(pgno);
+    dirty_.clear();
+    changed_.clear();
+  }
+  void Clear() {
+    lru_.clear();
+    dirty_.clear();
+    changed_.clear();
+  }
+
+  uint64_t steals = 0;  // dirty pages evicted since the last reset
+
+ private:
+  const size_t capacity_;
+  std::list<Pgno> lru_;  // most recently used first
+  std::set<Pgno> dirty_;
+  std::set<Pgno> changed_;  // dirtied in this transaction, stolen or not
+};
+
+// Random page traffic through a 4-page cache, so that most transactions
+// steal. In every transaction the pages written to the database (kDelete,
+// kOff) or appended to the WAL (kWal), at the steals and at the commit,
+// match the cache model. After every commit, a close and reopen finds each
+// live page with its committed content. A rollback keeps the pager open:
+// reads in the next transactions see the committed content, and the model's
+// LRU order, which decides the later steals, still holds.
+TEST_P(PagerTest, RandomTrafficMatchesCacheModel) {
+  constexpr size_t kCache = 4;
+  PagerOptions opt = Options();
+  opt.cache_pages = kCache;
+  auto open = [&] {
+    auto pager = Pager::Open(fs_.get(), "test.db", opt);
+    CHECK(pager.ok()) << pager.status().ToString();
+    return std::move(pager).value();
+  };
+  auto pager = open();
+  const size_t page_size = pager->page_size();
+  const bool wal = GetParam() == SqlJournalMode::kWal;
+  auto writes = [&] {
+    return wal ? pager->stats().journal_page_writes
+               : pager->stats().db_page_writes;
+  };
+
+  // Committed state, and the open transaction's view of it.
+  std::map<Pgno, std::vector<uint8_t>> committed, live;
+  std::vector<Pgno> committed_free, freelist;  // freelist head at the back
+  Pgno committed_count = 1, count = 1;
+  CacheModel cache(kCache);
+  Rng rng(GetParam() == SqlJournalMode::kDelete ? 31
+                                                : (wal ? 32 : 33));
+  auto pick_live = [&] {
+    auto it = live.begin();
+    std::advance(it, rng.Uniform(live.size()));
+    return it->first;
+  };
+  auto scribble = [&](Pgno pgno, uint8_t* data, int op) {
+    EncodeFixed32(data, pgno);
+    EncodeFixed32(data + 4, uint32_t(op));
+    data[8 + rng.Uniform(page_size - 8)] = uint8_t(rng.Next());
+    live[pgno].assign(data, data + page_size);
+  };
+  auto expect_committed = [&](const std::string& when) {
+    ASSERT_TRUE(pager->Close().ok()) << when;
+    pager = open();
+    ASSERT_EQ(pager->page_count(), committed_count) << when;
+    for (const auto& [pgno, content] : committed) {
+      auto ref = pager->Get(pgno);
+      ASSERT_TRUE(ref.ok()) << when;
+      ASSERT_EQ(std::vector<uint8_t>(ref->data(), ref->data() + page_size),
+                content)
+          << "page " << pgno << " " << when;
+    }
+    // The next transaction starts on an empty cache.
+    ASSERT_TRUE(pager->Close().ok()) << when;
+    pager = open();
+    cache.Clear();
+  };
+
+  int op = 0;
+  uint64_t total_steals = 0;
+  for (int txn = 0; txn < 80; ++txn) {
+    const std::string when = "txn " + std::to_string(txn);
+    ASSERT_TRUE(pager->Begin().ok()) << when;
+    cache.steals = 0;
+    const uint64_t writes_before = writes();
+    const int ops = 4 + int(rng.Uniform(24));
+    for (int i = 0; i < ops; ++i, ++op) {
+      const uint64_t action = rng.Uniform(10);
+      if (live.empty() || (action < 2 && live.size() < 16)) {
+        // Allocate: the freelist head, else a page past the end.
+        Pgno want;
+        if (!freelist.empty()) {
+          want = freelist.back();
+          freelist.pop_back();
+          cache.Fetch(want);
+          cache.Fetch(1, want);
+        } else {
+          want = ++count;
+          cache.Fetch(1);
+          cache.Fetch(want);
+        }
+        cache.MarkDirty(1);
+        cache.MarkDirty(want);
+        auto ref = pager->Allocate();
+        ASSERT_TRUE(ref.ok()) << when;
+        ASSERT_EQ(ref->pgno(), want) << when;
+        scribble(want, ref->data(), op);
+      } else if (action < 3 && live.size() > 2) {
+        Pgno pgno = pick_live();
+        cache.Fetch(pgno);
+        cache.MarkDirty(pgno);
+        cache.Fetch(1, pgno);
+        cache.MarkDirty(1);
+        ASSERT_TRUE(pager->Free(pgno).ok()) << when;
+        live.erase(pgno);
+        freelist.push_back(pgno);
+      } else if (action < 7) {
+        Pgno pgno = pick_live();
+        cache.Fetch(pgno);
+        cache.MarkDirty(pgno);
+        auto ref = pager->Get(pgno);
+        ASSERT_TRUE(ref.ok()) << when;
+        ASSERT_TRUE(ref->MarkDirty().ok()) << when;
+        scribble(pgno, ref->data(), op);
+      } else {
+        // A read sees the transaction's own writes, stolen or cached.
+        Pgno pgno = pick_live();
+        cache.Fetch(pgno);
+        auto ref = pager->Get(pgno);
+        ASSERT_TRUE(ref.ok()) << when;
+        ASSERT_EQ(std::vector<uint8_t>(ref->data(), ref->data() + page_size),
+                  live[pgno])
+            << "page " << pgno << " " << when;
+      }
+    }
+    ASSERT_EQ(writes() - writes_before, cache.steals) << when;
+
+    total_steals += cache.steals;
+    if (rng.Uniform(4) == 0) {
+      ASSERT_TRUE(pager->Rollback().ok()) << when;
+      cache.Rollback();
+      live = committed;
+      freelist = committed_free;
+      count = committed_count;
+    } else {
+      const uint64_t at_commit = writes();
+      ASSERT_TRUE(pager->Commit().ok()) << when;
+      // WAL: a transaction whose pages were all stolen still appends a
+      // commit frame (page 1).
+      uint64_t want = cache.dirty_count();
+      if (wal && want == 0 && cache.steals > 0) want = 1;
+      ASSERT_EQ(writes() - at_commit, want) << when;
+      committed = live;
+      committed_free = freelist;
+      committed_count = count;
+      expect_committed(when);
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(total_steals, 40u);
+}
+
+// A page dirtied, stolen, fetched again and dirtied again in one transaction
+// is written once at commit, not once per time it was dirtied.
+TEST_P(PagerTest, RedirtiedStolenPageIsWrittenOnceAtCommit) {
+  PagerOptions opt = Options();
+  opt.cache_pages = 4;
+  auto opened = Pager::Open(fs_.get(), "test.db", opt);
+  ASSERT_TRUE(opened.ok());
+  auto pager = std::move(opened).value();
+  ASSERT_TRUE(pager->Begin().ok());
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(pager->Allocate().ok());
+  ASSERT_TRUE(pager->Commit().ok());
+
+  const bool wal = GetParam() == SqlJournalMode::kWal;
+  auto writes = [&] {
+    return wal ? pager->stats().journal_page_writes
+               : pager->stats().db_page_writes;
+  };
+  ASSERT_TRUE(pager->Begin().ok());
+  auto dirty = [&](uint8_t value) {
+    auto ref = pager->Get(2);
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(ref->MarkDirty().ok());
+    ref->data()[0] = value;
+  };
+  dirty(0xA1);
+  const uint64_t steals = pager->stats().cache_steals;
+  const uint64_t before_steal = writes();
+  for (Pgno pgno = 3; pgno <= 7; ++pgno) ASSERT_TRUE(pager->Get(pgno).ok());
+  ASSERT_EQ(pager->stats().cache_steals, steals + 1);  // page 2 was stolen
+  ASSERT_EQ(writes(), before_steal + 1);
+  dirty(0xA2);
+  const uint64_t at_commit = writes();
+  ASSERT_TRUE(pager->Commit().ok());
+  EXPECT_EQ(writes(), at_commit + 1);
+
+  ASSERT_TRUE(pager->Close().ok());
+  pager = OpenPager();
+  auto ref = pager->Get(2);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref->data()[0], 0xA2);
+}
+
+// Pages stolen in a transaction roll back to their committed content: one
+// dirtied, stolen, fetched again, dirtied again and stolen again (whose
+// journal record must hold the committed version, not the stolen one), and
+// one dirtied, stolen and read back into the cache (whose cached copy is
+// the uncommitted version).
+TEST_P(PagerTest, StolenPagesRollBack) {
+  PagerOptions opt = Options();
+  opt.cache_pages = 4;
+  auto opened = Pager::Open(fs_.get(), "test.db", opt);
+  ASSERT_TRUE(opened.ok());
+  auto pager = std::move(opened).value();
+  ASSERT_TRUE(pager->Begin().ok());
+  for (int i = 0; i < 10; ++i) {
+    auto ref = pager->Allocate();
+    ASSERT_TRUE(ref.ok());
+    ref->data()[0] = 0xC0;
+  }
+  ASSERT_TRUE(pager->Commit().ok());
+
+  ASSERT_TRUE(pager->Begin().ok());
+  auto dirty = [&](Pgno pgno, uint8_t value) {
+    auto ref = pager->Get(pgno);
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(ref->MarkDirty().ok());
+    ref->data()[0] = value;
+  };
+  // Touching pages 4..11 leaves only them cached.
+  auto evict = [&] {
+    for (Pgno pgno = 4; pgno <= 11; ++pgno) {
+      ASSERT_TRUE(pager->Get(pgno).ok());
+    }
+  };
+  const uint64_t steals = pager->stats().cache_steals;
+  dirty(2, 0xC1);
+  dirty(3, 0xC1);
+  evict();
+  ASSERT_EQ(pager->stats().cache_steals, steals + 2);
+  dirty(2, 0xC2);
+  evict();
+  ASSERT_EQ(pager->stats().cache_steals, steals + 3);
+  {
+    auto ref = pager->Get(3);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[0], 0xC1);  // the transaction sees its own write
+  }
+  ASSERT_TRUE(pager->Rollback().ok());
+  for (Pgno pgno : {2, 3}) {
+    auto ref = pager->Get(pgno);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[0], 0xC0) << "page " << pgno;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, PagerTest,
@@ -979,6 +1268,116 @@ TEST_F(BTreeTest, CorruptLocalLengthIsCorruption) {
   EXPECT_TRUE(tree.Insert(6, Payload(6)).IsCorruption());
   EXPECT_TRUE(tree.MaxRowid().status().IsCorruption());
   EXPECT_FALSE(CheckBTree(pager_.get(), *root, false).ok());
+}
+
+// The cursor keeps the byte offset of its cell in each frame; full scans
+// and seek-then-step walks over pages of mixed cell sizes (overflowing table
+// payloads, variable-length index keys) visit exactly the model's entries.
+TEST_F(BTreeTest, CursorStepsMatchModel) {
+  Rng rng(23);
+  {
+    auto root = BTree::Create(pager_.get(), false);
+    ASSERT_TRUE(root.ok());
+    BTree tree(pager_.get(), *root, false);
+    std::map<int64_t, std::vector<uint8_t>> model;
+    for (int i = 0; i < 600; ++i) {
+      int64_t k = int64_t(rng.Uniform(2000));
+      size_t size = rng.Bernoulli(0.1) ? 300 + rng.Uniform(1500)
+                                       : rng.Uniform(150);
+      model[k] = Payload(i, size);
+      ASSERT_TRUE(tree.Insert(k, model[k]).ok());
+    }
+    // Scans from the start (seek < 0) or from SeekGE(seek).
+    auto expect_from = [&](int64_t seek, int steps, const std::string& when) {
+      auto cursor = tree.NewCursor();
+      ASSERT_TRUE((seek < 0 ? cursor.First() : cursor.SeekGE(seek)).ok());
+      auto it = seek < 0 ? model.begin() : model.lower_bound(seek);
+      for (int n = 0; n < steps && it != model.end(); ++n, ++it) {
+        ASSERT_TRUE(cursor.valid()) << when;
+        ASSERT_EQ(cursor.rowid(), it->first) << when;
+        ASSERT_EQ(cursor.Payload().value(), it->second) << when;
+        ASSERT_TRUE(cursor.Next().ok()) << when;
+      }
+      if (it == model.end()) {
+        EXPECT_FALSE(cursor.valid()) << when;
+      }
+    };
+    expect_from(-1, int(model.size()), "table scan");
+    for (int i = 0; i < 60; ++i) {
+      int64_t k = int64_t(rng.Uniform(2100));
+      expect_from(k, 40, "table seek " + std::to_string(k));
+      if (HasFatalFailure()) return;
+    }
+  }
+  {
+    auto root = BTree::Create(pager_.get(), true);
+    ASSERT_TRUE(root.ok());
+    BTree tree(pager_.get(), *root, true);
+    auto less = [](const std::vector<uint8_t>& a,
+                   const std::vector<uint8_t>& b) {
+      return CompareEncodedRecords(a.data(), a.size(), b.data(), b.size()) < 0;
+    };
+    std::set<std::vector<uint8_t>, decltype(less)> model(less);
+    auto key = [&](int i) {
+      return EncodeRecord(
+          {Value::Text(rng.AlphaString(rng.Uniform(200))), Value::Int(i)});
+    };
+    for (int i = 0; i < 600; ++i) {
+      auto k = key(i);
+      ASSERT_TRUE(tree.InsertKey(k).ok());
+      model.insert(k);
+    }
+    auto expect_from = [&](const std::vector<uint8_t>* probe, int steps,
+                           const std::string& when) {
+      auto cursor = tree.NewCursor();
+      ASSERT_TRUE((probe == nullptr ? cursor.First()
+                                    : cursor.SeekGEKey(*probe))
+                      .ok());
+      auto it = probe == nullptr ? model.begin() : model.lower_bound(*probe);
+      for (int n = 0; n < steps && it != model.end(); ++n, ++it) {
+        ASSERT_TRUE(cursor.valid()) << when;
+        ASSERT_EQ(cursor.Payload().value(), *it) << when;
+        ASSERT_TRUE(cursor.Next().ok()) << when;
+      }
+      if (it == model.end()) {
+        EXPECT_FALSE(cursor.valid()) << when;
+      }
+    };
+    expect_from(nullptr, int(model.size()), "index scan");
+    for (int i = 0; i < 60; ++i) {
+      auto probe = key(-i);
+      expect_from(&probe, 40, "index seek " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A corrupt local length in the cell after the cursor's position fails the
+// step onto it with Corruption, without reading past the page.
+TEST_F(BTreeTest, CorruptNextCellIsCorruptionOnNext) {
+  for (bool is_index : {false, true}) {
+    auto root = BTree::Create(pager_.get(), is_index);
+    ASSERT_TRUE(root.ok());
+    BTree tree(pager_.get(), *root, is_index);
+    std::vector<uint8_t> first;
+    for (int64_t k = 1; k <= 5; ++k) {
+      auto payload = is_index ? EncodeRecord({Value::Int(k)}) : Payload(k);
+      if (k == 1) first = payload;
+      ASSERT_TRUE((is_index ? tree.InsertKey(payload) : tree.Insert(k, payload))
+                      .ok());
+    }
+    // Cell 1 starts after the 9-byte header and cell 0 (rowid for table
+    // trees, then payload total, local length, overflow and the payload);
+    // its local length follows its rowid and payload total.
+    const size_t rowid_bytes = is_index ? 0 : 8;
+    const size_t cell1 = 9 + rowid_bytes + 10 + first.size();
+    auto cursor = tree.NewCursor();
+    ASSERT_TRUE(cursor.First().ok());
+    CorruptPage(pager_.get(), *root, cell1 + rowid_bytes + 4, {0xF0, 0xFF});
+    ASSERT_TRUE(cursor.valid());
+    EXPECT_EQ(cursor.Payload().value(), first) << is_index;
+    EXPECT_TRUE(cursor.Next().IsCorruption()) << is_index;
+  }
 }
 
 TEST_F(BTreeTest, CheckerDetectsCorruption) {
