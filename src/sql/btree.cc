@@ -18,6 +18,12 @@ constexpr uint8_t kOverflow = 5;
 constexpr size_t kPageHeader = 9;  // type(1) ncells(2) right_child(4) pad(2)
 constexpr size_t kOverflowHeader = 12;  // type(1) pad(3) next(4) len(4)
 
+// Index pages up to this size (twice the default flash page) are binary
+// searched over an array of their cell offsets on the stack; an index cell
+// takes at least 10 bytes, which bounds their count.
+constexpr size_t kMaxSearchPage = 16384;
+constexpr size_t kMaxIndexCells = (kMaxSearchPage - kPageHeader) / 10;
+
 bool IsLeafType(uint8_t t) { return t == kTableLeaf || t == kIndexLeaf; }
 
 uint8_t PageType(bool is_index, bool leaf) {
@@ -137,7 +143,10 @@ StatusOr<BTree::CellView> BTree::PinCell(Pgno pgno, size_t index,
 
 StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
                                     int64_t rowid,
-                                    const std::vector<uint8_t>* key) const {
+                                    const RecordProbe* probe) const {
+  if (is_index_ && pager_->page_size() <= kMaxSearchPage) {
+    return SearchIndexPage(page, h, rowid, probe);
+  }
   Slot slot;
   if (!h.leaf && !is_index_) {
     // Fixed-size cells in rowid order: binary search for the same slot.
@@ -147,7 +156,7 @@ StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
       size_t mid = lo + (hi - lo) / 2;
       XFTL_RETURN_IF_ERROR(
           ViewCell(page, false, kPageHeader + mid * cell_size, &slot.cell));
-      if (CompareToCell(rowid, key, slot.cell) <= 0) {
+      if (CompareToCell(rowid, probe, slot.cell) <= 0) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -160,13 +169,68 @@ StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
       return slot;
     }
     XFTL_RETURN_IF_ERROR(ViewCell(page, false, slot.offset, &slot.cell));
-    slot.exact = CompareToCell(rowid, key, slot.cell) == 0;
+    slot.exact = CompareToCell(rowid, probe, slot.cell) == 0;
     return slot;
   }
+  return WalkSearch(page, h, rowid, probe);
+}
+
+StatusOr<BTree::Slot> BTree::SearchIndexPage(const uint8_t* page,
+                                             const PageHeader& h,
+                                             int64_t rowid,
+                                             const RecordProbe* probe) const {
+  Slot slot;
+  // One bounds-checked pass collects the cell offsets, reading only each
+  // cell's fixed part; the keys of a page ascend strictly, so a binary
+  // search over the offsets finds the slot the walk would.
+  const size_t page_size = pager_->page_size();
+  const size_t fixed = FixedCellSize(h.leaf);
+  DCHECK(h.ncells <= kMaxIndexCells);
+  uint16_t offsets[kMaxIndexCells];
+  size_t end = kPageHeader;
+  for (size_t i = 0; i < h.ncells; ++i) {
+    if (end + fixed > page_size) {
+      return Status::Corruption("btree cell runs past the page");
+    }
+    offsets[i] = uint16_t(end);
+    // The local payload length sits 6 bytes before the end of the fixed
+    // part, ahead of the overflow page number.
+    end += fixed + DecodeFixed16(page + end + fixed - 6);
+    if (end > page_size) {
+      return Status::Corruption("btree cell payload runs past the page");
+    }
+  }
+  auto compare = [&](size_t i) {
+    const uint8_t* local = page + offsets[i] + fixed;
+    return probe->Compare(local, DecodeFixed16(local - 6));
+  };
+  size_t lo = 0, hi = h.ncells;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (compare(mid) <= 0) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  slot.pos = lo;
+  slot.offset = lo < h.ncells ? offsets[lo] : end;
+  if (lo < h.ncells) {
+    XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, slot.offset, &slot.cell));
+    slot.exact = compare(lo) == 0;
+  }
+  DCHECK(WalkFindsSlot(page, h, rowid, probe, slot));
+  return slot;
+}
+
+StatusOr<BTree::Slot> BTree::WalkSearch(const uint8_t* page,
+                                        const PageHeader& h, int64_t rowid,
+                                        const RecordProbe* probe) const {
+  Slot slot;
   slot.offset = kPageHeader;
   for (; slot.pos < h.ncells; ++slot.pos) {
     XFTL_RETURN_IF_ERROR(ViewCell(page, h.leaf, slot.offset, &slot.cell));
-    int c = CompareToCell(rowid, key, slot.cell);
+    int c = CompareToCell(rowid, probe, slot.cell);
     if (c <= 0) {
       slot.exact = c == 0;
       return slot;
@@ -177,12 +241,19 @@ StatusOr<BTree::Slot> BTree::Search(const uint8_t* page, const PageHeader& h,
   return slot;
 }
 
-int BTree::CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
+bool BTree::WalkFindsSlot(const uint8_t* page, const PageHeader& h,
+                          int64_t rowid, const RecordProbe* probe,
+                          const Slot& slot) const {
+  auto walk = WalkSearch(page, h, rowid, probe);
+  return walk.ok() && walk->pos == slot.pos && walk->offset == slot.offset &&
+         walk->exact == slot.exact;
+}
+
+int BTree::CompareToCell(int64_t rowid, const RecordProbe* probe,
                          const CellView& cell) const {
   if (is_index_) {
-    DCHECK(key != nullptr);
-    return CompareEncodedRecords(key->data(), key->size(), cell.local,
-                                 cell.local_size);
+    DCHECK(probe != nullptr);
+    return probe->Compare(cell.local, cell.local_size);
   }
   return rowid < cell.rowid ? -1 : (rowid > cell.rowid ? 1 : 0);
 }
@@ -377,7 +448,7 @@ Status BTree::AppendOverflow(Pgno first, uint32_t total,
 Status BTree::Insert(int64_t rowid, const std::vector<uint8_t>& payload) {
   CHECK(!is_index_);
   XFTL_ASSIGN_OR_RETURN(Cell cell, MakeLeafCell(rowid, payload));
-  return InsertCell(std::move(cell));
+  return InsertCell(std::move(cell), nullptr);
 }
 
 Status BTree::InsertKey(const std::vector<uint8_t>& key) {
@@ -388,11 +459,13 @@ Status BTree::InsertKey(const std::vector<uint8_t>& key) {
   Cell cell;
   cell.payload_total = uint32_t(key.size());
   cell.local = key;
-  return InsertCell(std::move(cell));
+  const RecordProbe probe(key.data(), key.size());
+  return InsertCell(std::move(cell), &probe);
 }
 
-Status BTree::InsertCell(Cell cell) {
-  XFTL_ASSIGN_OR_RETURN(auto split, InsertInto(root_, std::move(cell)));
+Status BTree::InsertCell(Cell cell, const RecordProbe* probe) {
+  XFTL_ASSIGN_OR_RETURN(auto split,
+                        InsertInto(root_, std::move(cell), probe));
   if (!split.has_value()) return Status::OK();
 
   // Root split: move the lower half (currently in the root page, just
@@ -407,13 +480,11 @@ Status BTree::InsertCell(Cell cell) {
   return WriteCells(root_ref.data(), /*leaf=*/false, split->right, {sep});
 }
 
-StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
-                                                              Cell cell) {
+StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(
+    Pgno pgno, Cell cell, const RecordProbe* probe) {
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref.data()));
-  XFTL_ASSIGN_OR_RETURN(
-      Slot slot,
-      Search(ref.data(), h, cell.rowid, is_index_ ? &cell.local : nullptr));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Search(ref.data(), h, cell.rowid, probe));
   const uint32_t page_size = pager_->page_size();
 
   if (h.leaf) {
@@ -461,7 +532,7 @@ StatusOr<std::optional<BTree::SplitResult>> BTree::InsertInto(Pgno pgno,
   const size_t pos = slot.pos;
   Pgno child = pos < h.ncells ? slot.cell.child : h.right_child;
   ref = PageRef();  // release pin during recursion
-  XFTL_ASSIGN_OR_RETURN(auto sub, InsertInto(child, std::move(cell)));
+  XFTL_ASSIGN_OR_RETURN(auto sub, InsertInto(child, std::move(cell), probe));
   if (!sub.has_value()) return std::optional<SplitResult>{};
 
   // The child split into child (lower) and sub->right (upper): insert the
@@ -520,15 +591,16 @@ Status BTree::Delete(int64_t rowid) {
 Status BTree::DeleteKey(const std::vector<uint8_t>& key) {
   CHECK(is_index_);
   bool emptied = false;
-  return DeleteFrom(root_, 0, &key, &emptied);
+  const RecordProbe probe(key.data(), key.size());
+  return DeleteFrom(root_, 0, &probe, &emptied);
 }
 
-Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
-                         const std::vector<uint8_t>* key, bool* emptied) {
+Status BTree::DeleteFrom(Pgno pgno, int64_t rowid, const RecordProbe* probe,
+                         bool* emptied) {
   *emptied = false;
   XFTL_ASSIGN_OR_RETURN(PageRef ref, pager_->Get(pgno));
   XFTL_ASSIGN_OR_RETURN(PageHeader h, ReadHeader(ref.data()));
-  XFTL_ASSIGN_OR_RETURN(Slot slot, Search(ref.data(), h, rowid, key));
+  XFTL_ASSIGN_OR_RETURN(Slot slot, Search(ref.data(), h, rowid, probe));
 
   if (h.leaf) {
     if (!slot.exact) return Status::NotFound("btree entry not found");
@@ -547,7 +619,7 @@ Status BTree::DeleteFrom(Pgno pgno, int64_t rowid,
   Pgno child = pos < h.ncells ? slot.cell.child : h.right_child;
   ref = PageRef();
   bool child_emptied = false;
-  XFTL_RETURN_IF_ERROR(DeleteFrom(child, rowid, key, &child_emptied));
+  XFTL_RETURN_IF_ERROR(DeleteFrom(child, rowid, probe, &child_emptied));
   if (!child_emptied) return Status::OK();
 
   // Unlink the emptied child.
@@ -650,10 +722,11 @@ Status BTree::Cursor::SeekGE(int64_t rowid) {
 
 Status BTree::Cursor::SeekGEKey(const std::vector<uint8_t>& key) {
   CHECK(tree_->is_index_);
-  return Seek(0, &key);
+  const RecordProbe probe(key.data(), key.size());
+  return Seek(0, &probe);
 }
 
-Status BTree::Cursor::Seek(int64_t rowid, const std::vector<uint8_t>* key) {
+Status BTree::Cursor::Seek(int64_t rowid, const RecordProbe* probe) {
   stack_.clear();
   valid_ = false;
   Pgno pgno = tree_->root_;
@@ -661,7 +734,7 @@ Status BTree::Cursor::Seek(int64_t rowid, const std::vector<uint8_t>* key) {
     XFTL_ASSIGN_OR_RETURN(PageRef ref, tree_->pager_->Get(pgno));
     XFTL_ASSIGN_OR_RETURN(PageHeader h, tree_->ReadHeader(ref.data()));
     XFTL_ASSIGN_OR_RETURN(Slot slot,
-                          tree_->Search(ref.data(), h, rowid, key));
+                          tree_->Search(ref.data(), h, rowid, probe));
     stack_.push_back({pgno, int(slot.pos), slot.offset});
     if (h.leaf) {
       if (slot.pos < h.ncells) {

@@ -84,8 +84,8 @@ class BTree {
       size_t offset = 0;  // byte offset of cell `index`, or of the end of
                           // the cells when index == ncells
     };
-    // Seeks by rowid (key == nullptr) or by encoded key.
-    Status Seek(int64_t rowid, const std::vector<uint8_t>* key);
+    // Seeks by rowid (probe == nullptr) or by encoded key.
+    Status Seek(int64_t rowid, const RecordProbe* probe);
     Status DescendLeftmost(Pgno pgno);
     Status AdvanceFromLeafEnd();
 
@@ -143,8 +143,9 @@ class BTree {
   uint32_t MaxLocal() const;
   // Bytes of a cell before its local payload.
   size_t FixedCellSize(bool leaf) const;
-  // Key comparison between a probe and a cell (rowid or encoded record).
-  int CompareToCell(int64_t rowid, const std::vector<uint8_t>* key,
+  // Key comparison between a probe and a cell: the rowid in table trees,
+  // the decoded key in index trees.
+  int CompareToCell(int64_t rowid, const RecordProbe* probe,
                     const CellView& cell) const;
 
   // Zero-copy page access. Every read is checked against the page size and
@@ -162,10 +163,23 @@ class BTree {
   // starts at byte `offset`.
   StatusOr<CellView> PinCell(Pgno pgno, size_t index, size_t offset,
                              PageRef* ref) const;
-  // The first cell whose key is >= the probe: a walk over the cells, or a
-  // binary search over the fixed-size cells of a table interior page.
+  // The first cell whose key is >= the probe. Table interior pages (fixed
+  // size cells) and index pages are binary searched; an index page is read
+  // whole, so a corrupt cell anywhere on it fails the search. Table leaves,
+  // and index pages over 16 KiB, are walked cell by cell.
   StatusOr<Slot> Search(const uint8_t* page, const PageHeader& h,
-                        int64_t rowid, const std::vector<uint8_t>* key) const;
+                        int64_t rowid, const RecordProbe* probe) const;
+  // The index page search: kept out of Search so that the other page kinds
+  // run without its stack array of cell offsets.
+  StatusOr<Slot> SearchIndexPage(const uint8_t* page, const PageHeader& h,
+                                 int64_t rowid,
+                                 const RecordProbe* probe) const;
+  // The walk: views cells in order up to the slot.
+  StatusOr<Slot> WalkSearch(const uint8_t* page, const PageHeader& h,
+                            int64_t rowid, const RecordProbe* probe) const;
+  // Cross-check of a binary-searched slot against the walk (DCHECK only).
+  bool WalkFindsSlot(const uint8_t* page, const PageHeader& h, int64_t rowid,
+                     const RecordProbe* probe, const Slot& slot) const;
 
   // In-place edits. Splice resizes the `old_size` bytes at `off` to
   // `new_size`, moving the cells behind them (the cells end at `end`) and
@@ -194,11 +208,13 @@ class BTree {
                         std::vector<uint8_t>* out);
 
   // Inserts from the root; a root split pushes the root's lower half down.
-  Status InsertCell(Cell cell);
+  // `probe` is the decoded key of an index cell, nullptr in table trees.
+  Status InsertCell(Cell cell, const RecordProbe* probe);
   // Recursive insert; returns a split description when `pgno` split.
-  StatusOr<std::optional<SplitResult>> InsertInto(Pgno pgno, Cell cell);
+  StatusOr<std::optional<SplitResult>> InsertInto(Pgno pgno, Cell cell,
+                                                  const RecordProbe* probe);
   // Recursive delete; sets *emptied when `pgno` became empty and was freed.
-  Status DeleteFrom(Pgno pgno, int64_t rowid, const std::vector<uint8_t>* key,
+  Status DeleteFrom(Pgno pgno, int64_t rowid, const RecordProbe* probe,
                     bool* emptied);
 
   Pager* const pager_;

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 
 #include "sql/btree.h"
 
@@ -26,14 +28,300 @@ bool NameEq(const std::string& a, const std::string& b) {
          });
 }
 
-// One table instance visible to expression evaluation.
-struct CtxEntry {
+// One table instance of a statement: the FROM table and each joined table
+// in order, or the target of an UPDATE or DELETE.
+struct Source {
   std::string alias;  // lower-cased
   const TableInfo* table = nullptr;
+};
+
+// The current row of one source while a statement runs. Evaluation sees the
+// rows of a prefix of the sources: the outer join levels while a level
+// picks its rows, every level at the innermost one.
+struct Frame {
   const Row* row = nullptr;
   int64_t rowid = 0;
 };
-using RowContext = std::vector<CtxEntry>;
+using Frames = std::span<const Frame>;
+
+// Operators and functions, looked up by name once per statement.
+enum class Op : uint8_t {
+  kNone,  // not an operator node
+  kAnd, kOr, kEq, kNe, kLt, kLe, kGt, kGe, kLike, kConcat,
+  kAdd, kSub, kMul, kDiv, kMod,
+  kNeg, kNot, kIsNull, kIsNotNull,
+  kBad,  // unknown name; an error when evaluated
+};
+
+Op BinaryOp(const std::string& op) {
+  static const std::pair<const char*, Op> kOps[] = {
+      {"AND", Op::kAnd}, {"OR", Op::kOr},     {"=", Op::kEq},
+      {"!=", Op::kNe},   {"<", Op::kLt},      {"<=", Op::kLe},
+      {">", Op::kGt},    {">=", Op::kGe},     {"LIKE", Op::kLike},
+      {"||", Op::kConcat}, {"+", Op::kAdd},   {"-", Op::kSub},
+      {"*", Op::kMul},   {"/", Op::kDiv},     {"%", Op::kMod}};
+  for (const auto& [name, value] : kOps) {
+    if (op == name) return value;
+  }
+  return Op::kBad;
+}
+
+Op UnaryOp(const std::string& op) {
+  if (op == "-") return Op::kNeg;
+  if (op == "NOT") return Op::kNot;
+  if (op == "ISNULL") return Op::kIsNull;
+  if (op == "ISNOTNULL") return Op::kIsNotNull;
+  return Op::kBad;
+}
+
+enum class Func : uint8_t {
+  kLength, kAbs, kUpper, kLower, kCoalesce, kSubstr, kMin, kMax,
+  kCount, kSum, kAvg, kTotal,
+  kUnknown,
+};
+
+Func FuncOf(const std::string& name) {
+  static const std::pair<const char*, Func> kFuncs[] = {
+      {"LENGTH", Func::kLength}, {"ABS", Func::kAbs},
+      {"UPPER", Func::kUpper},   {"LOWER", Func::kLower},
+      {"COALESCE", Func::kCoalesce}, {"IFNULL", Func::kCoalesce},
+      {"SUBSTR", Func::kSubstr}, {"MIN", Func::kMin},
+      {"MAX", Func::kMax},       {"COUNT", Func::kCount},
+      {"SUM", Func::kSum},       {"AVG", Func::kAvg},
+      {"TOTAL", Func::kTotal}};
+  for (const auto& [n, value] : kFuncs) {
+    if (name == n) return value;
+  }
+  return Func::kUnknown;
+}
+
+// MIN and MAX aggregate with one argument and are scalar with more.
+bool IsAggregateCall(Func f, size_t nargs) {
+  switch (f) {
+    case Func::kCount:
+    case Func::kSum:
+    case Func::kAvg:
+    case Func::kTotal:
+      return true;
+    case Func::kMin:
+    case Func::kMax:
+      return nargs == 1;
+    default:
+      return false;
+  }
+}
+
+bool IsAggregate(const Expr& e) {
+  return e.kind == Expr::Kind::kFunction &&
+         IsAggregateCall(FuncOf(e.func), e.args.size());
+}
+
+bool ContainsAggregate(const Expr& e) {
+  if (IsAggregate(e)) return true;
+  if (e.lhs != nullptr && ContainsAggregate(*e.lhs)) return true;
+  if (e.rhs != nullptr && ContainsAggregate(*e.rhs)) return true;
+  for (const auto& a : e.args) {
+    if (ContainsAggregate(*a)) return true;
+  }
+  return false;
+}
+
+// An expression with its names resolved for one statement: a column names
+// the source that supplies it and its position in the row, operators and
+// functions are enums. Resolution follows the rules evaluation always had:
+// names are case-insensitive, an unqualified column belongs to the first
+// source that has it, a qualified one to the first source of that alias.
+// A column no source supplies fails with NotFound when it is evaluated, so
+// a statement that never reaches it still runs.
+struct BoundExpr {
+  const Expr* expr = nullptr;  // the parsed node: kind, literal, names
+  Op op = Op::kNone;
+  Func func = Func::kUnknown;
+  int level = -1;   // column: the supplying source, -1 when none does
+  int column = -1;  // column: position in the row, -1 for the rowid
+  int agg = -1;     // collected aggregate: index of its finalized value
+  std::vector<BoundExpr> args;  // unary {rhs}, binary {lhs, rhs}, call args
+};
+
+BoundExpr Bind(const Expr& e, const std::vector<Source>& sources) {
+  BoundExpr b;
+  b.expr = &e;
+  switch (e.kind) {
+    case Expr::Kind::kColumn: {
+      const bool rowid = NameEq(e.column, "rowid");
+      const std::string want = Lower(e.table);
+      for (size_t level = 0; level < sources.size(); ++level) {
+        const Source& src = sources[level];
+        if (!want.empty() && src.alias != want) continue;
+        const int idx = rowid ? -1 : src.table->ColumnIndex(e.column);
+        if (rowid || idx >= 0) {
+          b.level = int(level);
+          b.column = idx == src.table->rowid_alias ? -1 : idx;
+          break;
+        }
+        if (!want.empty()) break;
+      }
+      break;
+    }
+    case Expr::Kind::kUnary:
+      b.op = UnaryOp(e.op);
+      b.args.push_back(Bind(*e.rhs, sources));
+      break;
+    case Expr::Kind::kBinary:
+      b.op = BinaryOp(e.op);
+      b.args.push_back(Bind(*e.lhs, sources));
+      b.args.push_back(Bind(*e.rhs, sources));
+      break;
+    case Expr::Kind::kFunction:
+      b.func = FuncOf(e.func);
+      for (const auto& a : e.args) b.args.push_back(Bind(*a, sources));
+      break;
+    case Expr::Kind::kLiteral:
+    case Expr::Kind::kStar:
+      break;
+  }
+  return b;
+}
+
+// True when `b` evaluates without error over the rows of the first
+// `visible` sources, outside aggregate finalization, whatever their values.
+bool AlwaysEvaluates(const BoundExpr& b, size_t visible) {
+  switch (b.expr->kind) {
+    case Expr::Kind::kLiteral:
+      return true;
+    case Expr::Kind::kColumn:
+      return b.level >= 0 && size_t(b.level) < visible;
+    case Expr::Kind::kStar:
+      return false;
+    case Expr::Kind::kUnary:
+    case Expr::Kind::kBinary:
+      if (b.op == Op::kBad) return false;
+      break;
+    case Expr::Kind::kFunction: {
+      size_t min_args;
+      switch (b.func) {
+        case Func::kLength:
+        case Func::kAbs:
+        case Func::kUpper:
+        case Func::kLower:
+          min_args = 1;
+          break;
+        case Func::kSubstr:
+        case Func::kMin:
+        case Func::kMax:
+          min_args = 2;
+          break;
+        case Func::kCoalesce:
+          min_args = 0;
+          break;
+        default:
+          return false;
+      }
+      if (b.args.size() < min_args) return false;
+      break;
+    }
+  }
+  return std::all_of(b.args.begin(), b.args.end(), [&](const BoundExpr& a) {
+    return AlwaysEvaluates(a, visible);
+  });
+}
+
+// A conjunct `column = value` that picks a level's rows: `value` is
+// evaluated over the outer levels' rows.
+struct EqTerm {
+  int column = -1;  // -1: the rowid (by name or through its alias)
+  BoundExpr value;
+};
+
+// How a level's rows are found: by rowid, by a prefix of one index, or by a
+// full scan. The key holds the values of `columns`, in order.
+struct AccessPath {
+  enum class Kind { kFullScan, kRowid, kIndex };
+  Kind kind = Kind::kFullScan;
+  const IndexInfo* index = nullptr;
+  std::vector<int> columns;  // -1: the rowid
+};
+
+// Prefers a rowid lookup, then the index with the longest prefix of bound
+// columns (the first such index in catalog order), then a full scan.
+template <typename IsBound>
+AccessPath ChooseAccess(const TableInfo& table, const IsBound& is_bound) {
+  AccessPath path;
+  if (is_bound(-1)) {
+    path.kind = AccessPath::Kind::kRowid;
+    path.columns = {-1};
+    return path;
+  }
+  size_t best_len = 0;
+  for (const IndexInfo* idx : table.indexes) {
+    size_t len = 0;
+    while (len < idx->columns.size() && is_bound(idx->columns[len])) len++;
+    if (len > best_len) {
+      best_len = len;
+      path.index = idx;
+    }
+  }
+  if (path.index != nullptr) {
+    path.kind = AccessPath::Kind::kIndex;
+    path.columns.assign(path.index->columns.begin(),
+                        path.index->columns.begin() + best_len);
+  }
+  return path;
+}
+
+// The access plan of one level, made once per statement.
+struct LevelPlan {
+  // Per '=' conjunct in statement order, its sides that name a column of
+  // this level. For each outer row the first side whose value evaluates
+  // binds its column, and a later conjunct overrides an earlier one.
+  std::vector<std::vector<EqTerm>> eqs;
+  // Every value always evaluates, so the first side of each conjunct binds
+  // and the path is the same for every outer row.
+  bool fixed = true;
+  AccessPath path;                     // when fixed
+  std::vector<const BoundExpr*> keys;  // when fixed: the key's values
+};
+
+LevelPlan PlanLevel(const std::vector<const Expr*>& conjuncts,
+                    const std::vector<Source>& sources, size_t level) {
+  LevelPlan plan;
+  const Source& src = sources[level];
+  const TableInfo& table = *src.table;
+  for (const Expr* e : conjuncts) {
+    if (e->kind != Expr::Kind::kBinary || BinaryOp(e->op) != Op::kEq) continue;
+    std::vector<EqTerm> sides;
+    for (int side = 0; side < 2; ++side) {
+      const Expr* col = side == 0 ? e->lhs.get() : e->rhs.get();
+      const Expr* val = side == 0 ? e->rhs.get() : e->lhs.get();
+      if (col->kind != Expr::Kind::kColumn) continue;
+      const std::string want = Lower(col->table);
+      if (!want.empty() && want != src.alias) continue;
+      const bool rowid = NameEq(col->column, "rowid");
+      const int idx = rowid ? table.rowid_alias : table.ColumnIndex(col->column);
+      const bool is_rowid = rowid || (idx >= 0 && idx == table.rowid_alias);
+      if (idx < 0 && !is_rowid) continue;
+      EqTerm term{is_rowid ? -1 : idx, Bind(*val, sources)};
+      // A bare column of this or an inner level never evaluates here.
+      if (val->kind == Expr::Kind::kColumn &&
+          !AlwaysEvaluates(term.value, level)) {
+        continue;
+      }
+      plan.fixed = plan.fixed && AlwaysEvaluates(term.value, level);
+      sides.push_back(std::move(term));
+    }
+    if (!sides.empty()) plan.eqs.push_back(std::move(sides));
+  }
+  if (plan.fixed) {
+    std::map<int, const BoundExpr*> bound;
+    for (const auto& sides : plan.eqs) {
+      bound[sides[0].column] = &sides[0].value;
+    }
+    plan.path = ChooseAccess(
+        table, [&](int column) { return bound.count(column) > 0; });
+    for (int column : plan.path.columns) plan.keys.push_back(bound.at(column));
+  }
+  return plan;
+}
 
 // SQL LIKE with % and _, ASCII case-insensitive.
 bool LikeMatch(const std::string& pattern, const std::string& text,
@@ -96,218 +384,206 @@ class Executor {
     std::set<std::string> distinct;
   };
 
+  // Streams (rowid, row) pairs; returning false stops the scan.
+  using RowFn = std::function<StatusOr<bool>(int64_t, const Row&)>;
+
   // --- expression evaluation ------------------------------------------------
 
-  StatusOr<Value> Eval(const Expr& e, const RowContext& ctx) {
+  StatusOr<Value> Eval(const BoundExpr& b, Frames ctx) {
+    const Expr& e = *b.expr;
     switch (e.kind) {
       case Expr::Kind::kLiteral:
         return e.literal;
-      case Expr::Kind::kColumn:
-        return ResolveColumn(e, ctx);
-      case Expr::Kind::kUnary:
-        return EvalUnary(e, ctx);
-      case Expr::Kind::kBinary:
-        return EvalBinary(e, ctx);
-      case Expr::Kind::kFunction:
-        if (agg_values_ != nullptr && IsAggregate(e)) {
-          auto it = agg_values_->find(&e);
-          if (it != agg_values_->end()) return it->second;
+      case Expr::Kind::kColumn: {
+        if (b.level < 0 || size_t(b.level) >= ctx.size()) {
+          return Status::NotFound(
+              "no such column: " +
+              (e.table.empty() ? e.column : e.table + "." + e.column));
         }
-        return EvalScalarFunction(e, ctx);
+        const Frame& f = ctx[b.level];
+        if (b.column < 0) return Value::Int(f.rowid);
+        if (b.column < int(f.row->size())) return (*f.row)[b.column];
+        return Value::Null();
+      }
+      case Expr::Kind::kUnary:
+        return EvalUnary(b, ctx);
+      case Expr::Kind::kBinary:
+        return EvalBinary(b, ctx);
+      case Expr::Kind::kFunction:
+        if (agg_values_ != nullptr && b.agg >= 0) return (*agg_values_)[b.agg];
+        return EvalScalarFunction(b, ctx);
       case Expr::Kind::kStar:
         return Status::InvalidArgument("'*' not valid in this context");
     }
     return Status::InvalidArgument("bad expression");
   }
 
-  StatusOr<Value> ResolveColumn(const Expr& e, const RowContext& ctx) {
-    std::string want_table = Lower(e.table);
-    for (const CtxEntry& entry : ctx) {
-      if (!want_table.empty() && entry.alias != want_table) continue;
-      if (NameEq(e.column, "rowid")) return Value::Int(entry.rowid);
-      int idx = entry.table->ColumnIndex(e.column);
-      if (idx >= 0) {
-        if (idx == entry.table->rowid_alias) return Value::Int(entry.rowid);
-        if (idx < int(entry.row->size())) return (*entry.row)[idx];
-        return Value::Null();
+  StatusOr<Value> EvalUnary(const BoundExpr& b, Frames ctx) {
+    XFTL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], ctx));
+    switch (b.op) {
+      case Op::kNeg:
+        if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
+        return Value::Real(-v.AsReal());
+      case Op::kNot:
+        return Value::Int(v.Truthy() ? 0 : 1);
+      case Op::kIsNull:
+        return Value::Int(v.is_null() ? 1 : 0);
+      case Op::kIsNotNull:
+        return Value::Int(v.is_null() ? 0 : 1);
+      default:
+        return Status::InvalidArgument("bad unary operator " + b.expr->op);
+    }
+  }
+
+  StatusOr<Value> EvalBinary(const BoundExpr& b, Frames ctx) {
+    if (b.op == Op::kAnd || b.op == Op::kOr) {
+      XFTL_ASSIGN_OR_RETURN(Value l, Eval(b.args[0], ctx));
+      if (b.op == Op::kAnd && !l.Truthy()) return Value::Int(0);
+      if (b.op == Op::kOr && l.Truthy()) return Value::Int(1);
+      XFTL_ASSIGN_OR_RETURN(Value r, Eval(b.args[1], ctx));
+      return Value::Int(r.Truthy() ? 1 : 0);
+    }
+    XFTL_ASSIGN_OR_RETURN(Value l, Eval(b.args[0], ctx));
+    XFTL_ASSIGN_OR_RETURN(Value r, Eval(b.args[1], ctx));
+    switch (b.op) {
+      case Op::kEq:
+      case Op::kNe:
+      case Op::kLt:
+      case Op::kLe:
+      case Op::kGt:
+      case Op::kGe: {
+        if (l.is_null() || r.is_null()) return Value::Null();
+        const int c = l.Compare(r);
+        const bool result = (b.op == Op::kEq && c == 0) ||
+                            (b.op == Op::kNe && c != 0) ||
+                            (b.op == Op::kLt && c < 0) ||
+                            (b.op == Op::kLe && c <= 0) ||
+                            (b.op == Op::kGt && c > 0) ||
+                            (b.op == Op::kGe && c >= 0);
+        return Value::Int(result ? 1 : 0);
       }
-      if (!want_table.empty()) break;
-    }
-    return Status::NotFound("no such column: " +
-                            (e.table.empty() ? e.column
-                                             : e.table + "." + e.column));
-  }
-
-  StatusOr<Value> EvalUnary(const Expr& e, const RowContext& ctx) {
-    XFTL_ASSIGN_OR_RETURN(Value v, Eval(*e.rhs, ctx));
-    if (e.op == "-") {
-      if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
-      return Value::Real(-v.AsReal());
-    }
-    if (e.op == "NOT") return Value::Int(v.Truthy() ? 0 : 1);
-    if (e.op == "ISNULL") return Value::Int(v.is_null() ? 1 : 0);
-    if (e.op == "ISNOTNULL") return Value::Int(v.is_null() ? 0 : 1);
-    return Status::InvalidArgument("bad unary operator " + e.op);
-  }
-
-  StatusOr<Value> EvalBinary(const Expr& e, const RowContext& ctx) {
-    if (e.op == "AND") {
-      XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-      if (!l.Truthy()) return Value::Int(0);
-      XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-      return Value::Int(r.Truthy() ? 1 : 0);
-    }
-    if (e.op == "OR") {
-      XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-      if (l.Truthy()) return Value::Int(1);
-      XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-      return Value::Int(r.Truthy() ? 1 : 0);
-    }
-    XFTL_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, ctx));
-    XFTL_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, ctx));
-    if (e.op == "=" || e.op == "!=" || e.op == "<" || e.op == "<=" ||
-        e.op == ">" || e.op == ">=") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      int c = l.Compare(r);
-      bool result = (e.op == "=" && c == 0) || (e.op == "!=" && c != 0) ||
-                    (e.op == "<" && c < 0) || (e.op == "<=" && c <= 0) ||
-                    (e.op == ">" && c > 0) || (e.op == ">=" && c >= 0);
-      return Value::Int(result ? 1 : 0);
-    }
-    if (e.op == "LIKE") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::Int(LikeMatch(r.AsText(), l.AsText()) ? 1 : 0);
-    }
-    if (e.op == "||") {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::Text(l.AsText() + r.AsText());
+      case Op::kLike:
+        if (l.is_null() || r.is_null()) return Value::Null();
+        return Value::Int(LikeMatch(r.AsText(), l.AsText()) ? 1 : 0);
+      case Op::kConcat:
+        if (l.is_null() || r.is_null()) return Value::Null();
+        return Value::Text(l.AsText() + r.AsText());
+      default:
+        break;
     }
     if (l.is_null() || r.is_null()) return Value::Null();
-    bool ints =
+    const bool ints =
         l.type() == ValueType::kInt && r.type() == ValueType::kInt;
-    if (e.op == "+") {
-      return ints ? Value::Int(l.AsInt() + r.AsInt())
-                  : Value::Real(l.AsReal() + r.AsReal());
-    }
-    if (e.op == "-") {
-      return ints ? Value::Int(l.AsInt() - r.AsInt())
-                  : Value::Real(l.AsReal() - r.AsReal());
-    }
-    if (e.op == "*") {
-      return ints ? Value::Int(l.AsInt() * r.AsInt())
-                  : Value::Real(l.AsReal() * r.AsReal());
-    }
-    if (e.op == "/") {
-      if (ints) {
-        if (r.AsInt() == 0) return Value::Null();
-        return Value::Int(l.AsInt() / r.AsInt());
-      }
-      if (r.AsReal() == 0.0) return Value::Null();
-      return Value::Real(l.AsReal() / r.AsReal());
-    }
-    if (e.op == "%") {
-      if (r.AsInt() == 0) return Value::Null();
-      return Value::Int(l.AsInt() % r.AsInt());
-    }
-    return Status::InvalidArgument("bad binary operator " + e.op);
-  }
-
-  StatusOr<Value> EvalScalarFunction(const Expr& e, const RowContext& ctx) {
-    auto arg = [&](size_t i) -> StatusOr<Value> {
-      if (i >= e.args.size()) {
-        return Status::InvalidArgument(e.func + ": missing argument");
-      }
-      return Eval(*e.args[i], ctx);
-    };
-    if (e.func == "LENGTH") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kBlob) return Value::Int(v.blob().size());
-      return Value::Int(int64_t(v.AsText().size()));
-    }
-    if (e.func == "ABS") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(std::abs(v.AsInt()));
-      return Value::Real(std::abs(v.AsReal()));
-    }
-    if (e.func == "UPPER" || e.func == "LOWER") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value::Null();
-      std::string s = v.AsText();
-      for (char& c : s) {
-        c = e.func == "UPPER" ? char(std::toupper(c)) : char(std::tolower(c));
-      }
-      return Value::Text(std::move(s));
-    }
-    if (e.func == "COALESCE" || e.func == "IFNULL") {
-      for (const auto& a : e.args) {
-        XFTL_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-        if (!v.is_null()) return v;
-      }
-      return Value::Null();
-    }
-    if (e.func == "SUBSTR") {
-      XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
-      XFTL_ASSIGN_OR_RETURN(Value from, arg(1));
-      if (v.is_null()) return Value::Null();
-      std::string s = v.AsText();
-      int64_t start = std::max<int64_t>(1, from.AsInt()) - 1;
-      int64_t len = int64_t(s.size()) - start;
-      if (e.args.size() > 2) {
-        XFTL_ASSIGN_OR_RETURN(Value lv, arg(2));
-        len = lv.AsInt();
-      }
-      if (start >= int64_t(s.size()) || len <= 0) return Value::Text("");
-      return Value::Text(s.substr(size_t(start), size_t(len)));
-    }
-    if (e.func == "MIN" || e.func == "MAX") {
-      // Scalar form with 2+ args (the 1-arg form is an aggregate).
-      if (e.args.size() >= 2) {
-        XFTL_ASSIGN_OR_RETURN(Value best, arg(0));
-        for (size_t i = 1; i < e.args.size(); ++i) {
-          XFTL_ASSIGN_OR_RETURN(Value v, arg(i));
-          int c = v.Compare(best);
-          if ((e.func == "MIN" && c < 0) || (e.func == "MAX" && c > 0)) {
-            best = v;
-          }
+    switch (b.op) {
+      case Op::kAdd:
+        return ints ? Value::Int(l.AsInt() + r.AsInt())
+                    : Value::Real(l.AsReal() + r.AsReal());
+      case Op::kSub:
+        return ints ? Value::Int(l.AsInt() - r.AsInt())
+                    : Value::Real(l.AsReal() - r.AsReal());
+      case Op::kMul:
+        return ints ? Value::Int(l.AsInt() * r.AsInt())
+                    : Value::Real(l.AsReal() * r.AsReal());
+      case Op::kDiv:
+        if (ints) {
+          if (r.AsInt() == 0) return Value::Null();
+          return Value::Int(l.AsInt() / r.AsInt());
         }
-        return best;
+        if (r.AsReal() == 0.0) return Value::Null();
+        return Value::Real(l.AsReal() / r.AsReal());
+      case Op::kMod:
+        if (r.AsInt() == 0) return Value::Null();
+        return Value::Int(l.AsInt() % r.AsInt());
+      default:
+        return Status::InvalidArgument("bad binary operator " + b.expr->op);
+    }
+  }
+
+  StatusOr<Value> EvalScalarFunction(const BoundExpr& b, Frames ctx) {
+    const std::string& name = b.expr->func;
+    auto arg = [&](size_t i) -> StatusOr<Value> {
+      if (i >= b.args.size()) {
+        return Status::InvalidArgument(name + ": missing argument");
       }
+      return Eval(b.args[i], ctx);
+    };
+    switch (b.func) {
+      case Func::kLength: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        if (v.type() == ValueType::kBlob) return Value::Int(v.blob().size());
+        return Value::Int(int64_t(v.AsText().size()));
+      }
+      case Func::kAbs: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        if (v.type() == ValueType::kInt) return Value::Int(std::abs(v.AsInt()));
+        return Value::Real(std::abs(v.AsReal()));
+      }
+      case Func::kUpper:
+      case Func::kLower: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        if (v.is_null()) return Value::Null();
+        std::string s = v.AsText();
+        for (char& c : s) {
+          c = b.func == Func::kUpper ? char(std::toupper(c))
+                                     : char(std::tolower(c));
+        }
+        return Value::Text(std::move(s));
+      }
+      case Func::kCoalesce:
+        for (const BoundExpr& a : b.args) {
+          XFTL_ASSIGN_OR_RETURN(Value v, Eval(a, ctx));
+          if (!v.is_null()) return v;
+        }
+        return Value::Null();
+      case Func::kSubstr: {
+        XFTL_ASSIGN_OR_RETURN(Value v, arg(0));
+        XFTL_ASSIGN_OR_RETURN(Value from, arg(1));
+        if (v.is_null()) return Value::Null();
+        std::string s = v.AsText();
+        int64_t start = std::max<int64_t>(1, from.AsInt()) - 1;
+        int64_t len = int64_t(s.size()) - start;
+        if (b.args.size() > 2) {
+          XFTL_ASSIGN_OR_RETURN(Value lv, arg(2));
+          len = lv.AsInt();
+        }
+        if (start >= int64_t(s.size()) || len <= 0) return Value::Text("");
+        return Value::Text(s.substr(size_t(start), size_t(len)));
+      }
+      case Func::kMin:
+      case Func::kMax:
+        // Scalar form with 2+ args (the 1-arg form is an aggregate).
+        if (b.args.size() >= 2) {
+          XFTL_ASSIGN_OR_RETURN(Value best, arg(0));
+          for (size_t i = 1; i < b.args.size(); ++i) {
+            XFTL_ASSIGN_OR_RETURN(Value v, arg(i));
+            int c = v.Compare(best);
+            if ((b.func == Func::kMin && c < 0) ||
+                (b.func == Func::kMax && c > 0)) {
+              best = v;
+            }
+          }
+          return best;
+        }
+        break;
+      default:
+        break;
     }
-    return Status::InvalidArgument("unknown function " + e.func);
+    return Status::InvalidArgument("unknown function " + name);
   }
 
-  static bool IsAggregate(const Expr& e) {
-    if (e.kind != Expr::Kind::kFunction) return false;
-    if (e.func == "COUNT" || e.func == "SUM" || e.func == "AVG" ||
-        e.func == "TOTAL") {
-      return true;
-    }
-    return (e.func == "MIN" || e.func == "MAX") && e.args.size() == 1;
-  }
-
-  static bool ContainsAggregate(const Expr& e) {
-    if (IsAggregate(e)) return true;
-    if (e.lhs != nullptr && ContainsAggregate(*e.lhs)) return true;
-    if (e.rhs != nullptr && ContainsAggregate(*e.rhs)) return true;
-    for (const auto& a : e.args) {
-      if (ContainsAggregate(*a)) return true;
-    }
-    return false;
-  }
-
-  // Gathers the aggregate nodes of an expression tree (not descending into
-  // aggregate arguments: COUNT(SUM(x)) is not supported, as in SQLite).
-  static void CollectAggregates(const Expr& e,
-                                std::vector<const Expr*>* out) {
-    if (IsAggregate(e)) {
-      out->push_back(&e);
+  // Gathers the aggregate nodes of a bound tree and numbers them (not
+  // descending into aggregate arguments: COUNT(SUM(x)) is not supported, as
+  // in SQLite).
+  static void CollectAggregates(BoundExpr* b, std::vector<const BoundExpr*>* out) {
+    if (b->expr->kind == Expr::Kind::kFunction &&
+        IsAggregateCall(b->func, b->args.size())) {
+      b->agg = int(out->size());
+      out->push_back(b);
       return;
     }
-    if (e.lhs != nullptr) CollectAggregates(*e.lhs, out);
-    if (e.rhs != nullptr) CollectAggregates(*e.rhs, out);
-    for (const auto& a : e.args) CollectAggregates(*a, out);
+    for (BoundExpr& a : b->args) CollectAggregates(&a, out);
   }
 
   // --- access paths -----------------------------------------------------------
@@ -315,7 +591,7 @@ class Executor {
   // Flattens the AND tree into conjuncts.
   static void Conjuncts(const Expr* e, std::vector<const Expr*>* out) {
     if (e == nullptr) return;
-    if (e->kind == Expr::Kind::kBinary && e->op == "AND") {
+    if (e->kind == Expr::Kind::kBinary && BinaryOp(e->op) == Op::kAnd) {
       Conjuncts(e->lhs.get(), out);
       Conjuncts(e->rhs.get(), out);
       return;
@@ -323,45 +599,36 @@ class Executor {
     out->push_back(e);
   }
 
-  // Finds conjuncts of form <alias.col = expr-evaluable-under-ctx>; returns
-  // column-position -> value bindings for the given table instance.
-  StatusOr<std::map<int, Value>> EqualityBindings(
-      const std::vector<const Expr*>& conjuncts, const std::string& alias,
-      const TableInfo& table, const RowContext& outer_ctx) {
-    std::map<int, Value> out;
-    for (const Expr* e : conjuncts) {
-      if (e->kind != Expr::Kind::kBinary || e->op != "=") continue;
-      for (int side = 0; side < 2; ++side) {
-        const Expr* col = side == 0 ? e->lhs.get() : e->rhs.get();
-        const Expr* val = side == 0 ? e->rhs.get() : e->lhs.get();
-        if (col->kind != Expr::Kind::kColumn) continue;
-        std::string want = Lower(col->table);
-        if (!want.empty() && want != alias) continue;
-        int idx = NameEq(col->column, "rowid") ? table.rowid_alias
-                                               : table.ColumnIndex(col->column);
-        bool is_rowid =
-            NameEq(col->column, "rowid") ||
-            (idx >= 0 && idx == table.rowid_alias);
-        if (idx < 0 && !is_rowid) continue;
-        // The other side must be evaluable without this table's row.
-        auto v = Eval(*val, outer_ctx);
-        if (!v.ok()) continue;  // references this table; not a binding
-        if (is_rowid) {
-          out[-1] = v.value();  // -1 encodes the rowid itself
-        } else {
-          out[idx] = v.value();
-        }
+  // Streams the rows of level `plan` for the outer rows in `outer`.
+  Status ScanLevel(const LevelPlan& plan, const TableInfo& table, Frames outer,
+                   const RowFn& fn) {
+    Row key;
+    if (plan.fixed) {
+      for (const BoundExpr* value : plan.keys) {
+        XFTL_ASSIGN_OR_RETURN(Value v, Eval(*value, outer));
+        key.push_back(std::move(v));
+      }
+      return ScanTable(table, plan.path, key, fn);
+    }
+    std::map<int, Value> bound;
+    for (const auto& sides : plan.eqs) {
+      for (const EqTerm& term : sides) {
+        auto v = Eval(term.value, outer);
+        if (!v.ok()) continue;  // needs a row this level does not see yet
+        bound[term.column] = std::move(v).value();
         break;
       }
     }
-    return out;
+    AccessPath path = ChooseAccess(
+        table, [&](int column) { return bound.count(column) > 0; });
+    for (int column : path.columns) key.push_back(bound.at(column));
+    return ScanTable(table, path, key, fn);
   }
 
-  // Streams rows of `table` matching the given equality bindings, choosing
-  // rowid lookup, index prefix scan, or full scan. `fn` returns false to
-  // stop early.
-  Status ScanTable(const TableInfo& table, const std::map<int, Value>& eqs,
-                   const std::function<StatusOr<bool>(int64_t, const Row&)>& fn) {
+  // Streams the rows of `table` that `path` reaches with `key`: a rowid
+  // lookup, an index prefix scan, or a full scan.
+  Status ScanTable(const TableInfo& table, const AccessPath& path,
+                   const Row& key, const RowFn& fn) {
     BTree data(pager_, table.root, /*is_index=*/false);
 
     auto emit_rowid = [&](int64_t rowid) -> StatusOr<bool> {
@@ -374,56 +641,35 @@ class Executor {
       return fn(rowid, row);
     };
 
-    // Direct rowid lookup.
-    auto rowid_it = eqs.find(-1);
-    if (rowid_it != eqs.end()) {
-      if (rowid_it->second.is_null()) return Status::OK();
-      XFTL_ASSIGN_OR_RETURN(bool keep, emit_rowid(rowid_it->second.AsInt()));
-      (void)keep;
-      return Status::OK();
-    }
-
-    // Longest-prefix index match.
-    const IndexInfo* best = nullptr;
-    size_t best_len = 0;
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
-      size_t len = 0;
-      for (int col : idx->columns) {
-        if (eqs.count(col) == 0) break;
-        len++;
+    switch (path.kind) {
+      case AccessPath::Kind::kRowid: {
+        if (key[0].is_null()) return Status::OK();
+        XFTL_ASSIGN_OR_RETURN(bool keep, emit_rowid(key[0].AsInt()));
+        (void)keep;
+        return Status::OK();
       }
-      if (len > best_len) {
-        best_len = len;
-        best = idx;
-      }
-    }
-    if (best != nullptr && best_len > 0) {
-      Row prefix;
-      for (size_t i = 0; i < best_len; ++i) {
-        prefix.push_back(eqs.at(best->columns[i]));
-      }
-      std::vector<uint8_t> key = EncodeRecord(prefix);
-      BTree index(pager_, best->root, /*is_index=*/true);
-      auto cursor = index.NewCursor();
-      XFTL_RETURN_IF_ERROR(cursor.SeekGEKey(key));
-      while (cursor.valid()) {
-        XFTL_ASSIGN_OR_RETURN(auto key_bytes, cursor.Payload());
-        XFTL_ASSIGN_OR_RETURN(Row entry, DecodeRecord(key_bytes));
-        // Stop once the prefix no longer matches.
-        bool match = entry.size() > best_len;
-        for (size_t i = 0; match && i < best_len; ++i) {
-          match = entry[i].Compare(prefix[i]) == 0;
+      case AccessPath::Kind::kIndex: {
+        BTree index(pager_, path.index->root, /*is_index=*/true);
+        auto cursor = index.NewCursor();
+        XFTL_RETURN_IF_ERROR(cursor.SeekGEKey(EncodeRecord(key)));
+        while (cursor.valid()) {
+          XFTL_ASSIGN_OR_RETURN(auto key_bytes, cursor.Payload());
+          XFTL_ASSIGN_OR_RETURN(Row entry, DecodeRecord(key_bytes));
+          // Stop once the prefix no longer matches.
+          bool match = entry.size() > key.size();
+          for (size_t i = 0; match && i < key.size(); ++i) {
+            match = entry[i].Compare(key[i]) == 0;
+          }
+          if (!match) break;
+          XFTL_ASSIGN_OR_RETURN(bool keep, emit_rowid(entry.back().AsInt()));
+          if (!keep) return Status::OK();
+          XFTL_RETURN_IF_ERROR(cursor.Next());
         }
-        if (!match) break;
-        int64_t rowid = entry.back().AsInt();
-        XFTL_ASSIGN_OR_RETURN(bool keep, emit_rowid(rowid));
-        if (!keep) return Status::OK();
-        XFTL_RETURN_IF_ERROR(cursor.Next());
+        return Status::OK();
       }
-      return Status::OK();
+      case AccessPath::Kind::kFullScan:
+        break;
     }
-
-    // Full scan.
     auto cursor = data.NewCursor();
     XFTL_RETURN_IF_ERROR(cursor.First());
     while (cursor.valid()) {
@@ -454,7 +700,7 @@ class Executor {
   }
 
   Status IndexesInsert(const TableInfo& table, const Row& row, int64_t rowid) {
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
+    for (const IndexInfo* idx : table.indexes) {
       BTree tree(pager_, idx->root, /*is_index=*/true);
       XFTL_RETURN_IF_ERROR(tree.InsertKey(MakeIndexKey(*idx, row, rowid, table)));
     }
@@ -462,7 +708,7 @@ class Executor {
   }
 
   Status IndexesDelete(const TableInfo& table, const Row& row, int64_t rowid) {
-    for (const IndexInfo* idx : schema_->IndexesOf(table.name)) {
+    for (const IndexInfo* idx : table.indexes) {
       BTree tree(pager_, idx->root, /*is_index=*/true);
       Status s = tree.DeleteKey(MakeIndexKey(*idx, row, rowid, table));
       if (!s.ok() && !s.IsNotFound()) return s;
@@ -504,9 +750,9 @@ class Executor {
         return Status::InvalidArgument("values count mismatch");
       }
       Row row(table->columns.size(), Value::Null());
-      RowContext empty;
       for (size_t i = 0; i < exprs.size(); ++i) {
-        XFTL_ASSIGN_OR_RETURN(row[positions[i]], Eval(*exprs[i], empty));
+        XFTL_ASSIGN_OR_RETURN(row[positions[i]],
+                              Eval(Bind(*exprs[i], {}), Frames()));
       }
       int64_t rowid;
       if (table->rowid_alias >= 0 && !row[table->rowid_alias].is_null()) {
@@ -533,10 +779,6 @@ class Executor {
 
   StatusOr<ResultSet> RunSelect(const SelectStmt& stmt) {
     // Source list: FROM table plus joins.
-    struct Source {
-      std::string alias;
-      const TableInfo* table;
-    };
     std::vector<Source> sources;
     std::vector<const Expr*> conjuncts;
     Conjuncts(stmt.where.get(), &conjuncts);
@@ -590,100 +832,117 @@ class Executor {
     ResultSet result;
     result.columns = col_names;
 
+    // Every expression of the statement, bound once.
+    std::vector<BoundExpr> items, order_keys, group_keys;
+    for (const Expr* p : projections) items.push_back(Bind(*p, sources));
+    for (const OrderTerm& t : stmt.order_by) {
+      order_keys.push_back(Bind(*t.expr, sources));
+    }
+    for (const ExprPtr& g : stmt.group_by) {
+      group_keys.push_back(Bind(*g, sources));
+    }
+    std::vector<BoundExpr> filters;  // WHERE, then each join's ON
+    if (stmt.where != nullptr) filters.push_back(Bind(*stmt.where, sources));
+    for (const JoinClause& join : stmt.joins) {
+      if (join.on != nullptr) filters.push_back(Bind(*join.on, sources));
+    }
+    std::optional<BoundExpr> having;
+    if (stmt.having != nullptr) having = Bind(*stmt.having, sources);
+
     // All aggregate nodes appearing anywhere in the statement.
-    std::vector<const Expr*> agg_nodes;
+    std::vector<const BoundExpr*> agg_nodes;
     if (aggregate) {
-      for (const Expr* p : projections) CollectAggregates(*p, &agg_nodes);
-      if (stmt.having != nullptr) CollectAggregates(*stmt.having, &agg_nodes);
-      for (const OrderTerm& term : stmt.order_by) {
-        CollectAggregates(*term.expr, &agg_nodes);
-      }
+      for (BoundExpr& p : items) CollectAggregates(&p, &agg_nodes);
+      if (having.has_value()) CollectAggregates(&*having, &agg_nodes);
+      for (BoundExpr& k : order_keys) CollectAggregates(&k, &agg_nodes);
+    }
+
+    std::vector<LevelPlan> plans;
+    plans.reserve(sources.size());
+    for (size_t level = 0; level < sources.size(); ++level) {
+      plans.push_back(PlanLevel(conjuncts, sources, level));
     }
 
     // Per-group state: accumulators plus a deep copy of a representative
-    // row context for evaluating non-aggregate expressions.
+    // row of each source for evaluating non-aggregate expressions.
     struct GroupState {
       std::vector<Row> rep_rows;
       std::vector<int64_t> rep_rowids;
       std::vector<Agg> aggs;
     };
-    std::map<std::string, GroupState> groups;  // key = encoded GROUP BY tuple
+    // Key: the encoded GROUP BY tuple; "" without GROUP BY.
+    std::map<std::string, GroupState> groups;
 
     // Order keys computed while the row context is live.
     std::vector<std::pair<Row, Row>> ordered;  // (order keys, projected row)
 
-    std::function<Status(size_t, RowContext&)> descend =
-        [&](size_t level, RowContext& ctx) -> Status {
-      if (level == sources.size()) {
-        if (stmt.where != nullptr) {
-          XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*stmt.where, ctx));
-          if (!cond.Truthy()) return Status::OK();
-        }
-        for (const JoinClause& join : stmt.joins) {
-          if (join.on != nullptr) {
-            XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*join.on, ctx));
-            if (!cond.Truthy()) return Status::OK();
-          }
-        }
-        if (aggregate) {
+    std::vector<Frame> frames;
+    frames.reserve(sources.size());
+    auto emit = [&](Frames ctx) -> Status {
+      for (const BoundExpr& filter : filters) {
+        XFTL_ASSIGN_OR_RETURN(Value cond, Eval(filter, ctx));
+        if (!cond.Truthy()) return Status::OK();
+      }
+      if (aggregate) {
+        std::string key;
+        if (!group_keys.empty()) {
           Row key_tuple;
-          for (const ExprPtr& g : stmt.group_by) {
-            XFTL_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
+          for (const BoundExpr& g : group_keys) {
+            XFTL_ASSIGN_OR_RETURN(Value v, Eval(g, ctx));
             key_tuple.push_back(std::move(v));
           }
           auto key_bytes = EncodeRecord(key_tuple);
-          std::string key(key_bytes.begin(), key_bytes.end());
-          GroupState& g = groups[key];
-          if (g.aggs.empty()) {
-            g.aggs.resize(agg_nodes.size());
-            for (const CtxEntry& entry : ctx) {
-              g.rep_rows.push_back(*entry.row);
-              g.rep_rowids.push_back(entry.rowid);
-            }
+          key.assign(key_bytes.begin(), key_bytes.end());
+        }
+        GroupState& g = groups[key];
+        if (g.aggs.empty()) {
+          g.aggs.resize(agg_nodes.size());
+          for (const Frame& f : ctx) {
+            g.rep_rows.push_back(*f.row);
+            g.rep_rowids.push_back(f.rowid);
           }
-          for (size_t i = 0; i < agg_nodes.size(); ++i) {
-            XFTL_RETURN_IF_ERROR(Accumulate(*agg_nodes[i], ctx, &g.aggs[i]));
-          }
-          return Status::OK();
         }
-        Row out;
-        for (const Expr* p : projections) {
-          XFTL_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-          out.push_back(std::move(v));
+        for (size_t i = 0; i < agg_nodes.size(); ++i) {
+          XFTL_RETURN_IF_ERROR(Accumulate(*agg_nodes[i], ctx, &g.aggs[i]));
         }
-        Row keys;
-        for (const OrderTerm& term : stmt.order_by) {
-          XFTL_ASSIGN_OR_RETURN(Value v, Eval(*term.expr, ctx));
-          keys.push_back(std::move(v));
-        }
-        ordered.emplace_back(std::move(keys), std::move(out));
         return Status::OK();
       }
-      const Source& src = sources[level];
-      XFTL_ASSIGN_OR_RETURN(
-          auto eqs, EqualityBindings(conjuncts, src.alias, *src.table, ctx));
-      return ScanTable(*src.table, eqs,
+      Row out;
+      for (const BoundExpr& p : items) {
+        XFTL_ASSIGN_OR_RETURN(Value v, Eval(p, ctx));
+        out.push_back(std::move(v));
+      }
+      Row keys;
+      for (const BoundExpr& k : order_keys) {
+        XFTL_ASSIGN_OR_RETURN(Value v, Eval(k, ctx));
+        keys.push_back(std::move(v));
+      }
+      ordered.emplace_back(std::move(keys), std::move(out));
+      return Status::OK();
+    };
+    std::function<Status(size_t)> descend = [&](size_t level) -> Status {
+      if (level == sources.size()) return emit(frames);
+      return ScanLevel(plans[level], *sources[level].table, frames,
                        [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
-                         ctx.push_back({src.alias, src.table, &row, rowid});
-                         Status s = descend(level + 1, ctx);
-                         ctx.pop_back();
+                         frames.push_back({&row, rowid});
+                         Status s = descend(level + 1);
+                         frames.pop_back();
                          if (!s.ok()) return s;
                          return true;
                        });
     };
 
-    RowContext ctx;
     if (sources.empty()) {
       // SELECT without FROM evaluates the items once.
       Row out;
-      for (const Expr* p : projections) {
-        XFTL_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
+      for (const BoundExpr& p : items) {
+        XFTL_ASSIGN_OR_RETURN(Value v, Eval(p, Frames()));
         out.push_back(std::move(v));
       }
       result.rows.push_back(std::move(out));
       return result;
     }
-    XFTL_RETURN_IF_ERROR(descend(0, ctx));
+    XFTL_RETURN_IF_ERROR(descend(0));
 
     if (aggregate) {
       // An ungrouped aggregate over zero rows still yields one row.
@@ -693,23 +952,22 @@ class Executor {
       }
       for (auto& [key, g] : groups) {
         // Rebuild a representative context for non-aggregate expressions.
-        RowContext rep_ctx;
+        std::vector<Frame> rep;
         for (size_t i = 0; i < g.rep_rows.size() && i < sources.size(); ++i) {
-          rep_ctx.push_back({sources[i].alias, sources[i].table,
-                             &g.rep_rows[i], g.rep_rowids[i]});
+          rep.push_back({&g.rep_rows[i], g.rep_rowids[i]});
         }
-        std::map<const Expr*, Value> finals;
+        std::vector<Value> finals;
         for (size_t i = 0; i < agg_nodes.size(); ++i) {
           XFTL_ASSIGN_OR_RETURN(Value v, Finalize(*agg_nodes[i], g.aggs[i]));
-          finals[agg_nodes[i]] = std::move(v);
+          finals.push_back(std::move(v));
         }
         agg_values_ = &finals;
         auto cleanup = [this](Status s) {
           agg_values_ = nullptr;
           return s;
         };
-        if (stmt.having != nullptr) {
-          auto cond = Eval(*stmt.having, rep_ctx);
+        if (having.has_value()) {
+          auto cond = Eval(*having, rep);
           if (!cond.ok()) return cleanup(cond.status());
           if (!cond.value().Truthy()) {
             agg_values_ = nullptr;
@@ -717,14 +975,14 @@ class Executor {
           }
         }
         Row out;
-        for (const Expr* p : projections) {
-          auto v = Eval(*p, rep_ctx);
+        for (const BoundExpr& p : items) {
+          auto v = Eval(p, rep);
           if (!v.ok()) return cleanup(v.status());
           out.push_back(std::move(v).value());
         }
         Row keys;
-        for (const OrderTerm& term : stmt.order_by) {
-          auto v = Eval(*term.expr, rep_ctx);
+        for (const BoundExpr& k : order_keys) {
+          auto v = Eval(k, rep);
           if (!v.ok()) return cleanup(v.status());
           keys.push_back(std::move(v).value());
         }
@@ -752,16 +1010,17 @@ class Executor {
     return result;
   }
 
-  Status Accumulate(const Expr& e, const RowContext& ctx, Agg* agg) {
-    CHECK(IsAggregate(e)) << "non-aggregate projection in aggregate query";
-    if (e.func == "COUNT" &&
-        (e.args.empty() || e.args[0]->kind == Expr::Kind::kStar)) {
+  Status Accumulate(const BoundExpr& b, Frames ctx, Agg* agg) {
+    CHECK(IsAggregateCall(b.func, b.args.size()))
+        << "non-aggregate projection in aggregate query";
+    if (b.func == Func::kCount &&
+        (b.args.empty() || b.args[0].expr->kind == Expr::Kind::kStar)) {
       agg->count++;
       return Status::OK();
     }
-    XFTL_ASSIGN_OR_RETURN(Value v, Eval(*e.args[0], ctx));
+    XFTL_ASSIGN_OR_RETURN(Value v, Eval(b.args[0], ctx));
     if (v.is_null()) return Status::OK();
-    if (e.distinct) {
+    if (b.expr->distinct) {
       std::string key = v.AsText() + "#" + std::to_string(int(v.type()));
       if (!agg->distinct.insert(key).second) return Status::OK();
     }
@@ -779,40 +1038,46 @@ class Executor {
     return Status::OK();
   }
 
-  StatusOr<Value> Finalize(const Expr& e, const Agg& agg) {
-    if (e.func == "COUNT") return Value::Int(int64_t(agg.count));
-    if (e.func == "SUM") {
-      if (agg.count == 0) return Value::Null();
-      return agg.sum_is_int ? Value::Int(agg.isum) : Value::Real(agg.sum);
+  StatusOr<Value> Finalize(const BoundExpr& b, const Agg& agg) {
+    switch (b.func) {
+      case Func::kCount:
+        return Value::Int(int64_t(agg.count));
+      case Func::kSum:
+        if (agg.count == 0) return Value::Null();
+        return agg.sum_is_int ? Value::Int(agg.isum) : Value::Real(agg.sum);
+      case Func::kTotal:
+        return Value::Real(agg.sum);
+      case Func::kAvg:
+        if (agg.count == 0) return Value::Null();
+        return Value::Real(agg.sum / double(agg.count));
+      case Func::kMin:
+        return agg.count == 0 ? Value::Null() : agg.min;
+      case Func::kMax:
+        return agg.count == 0 ? Value::Null() : agg.max;
+      default:
+        return Status::InvalidArgument("unknown aggregate " + b.expr->func);
     }
-    if (e.func == "TOTAL") return Value::Real(agg.sum);
-    if (e.func == "AVG") {
-      if (agg.count == 0) return Value::Null();
-      return Value::Real(agg.sum / double(agg.count));
-    }
-    if (e.func == "MIN") return agg.count == 0 ? Value::Null() : agg.min;
-    if (e.func == "MAX") return agg.count == 0 ? Value::Null() : agg.max;
-    return Status::InvalidArgument("unknown aggregate " + e.func);
   }
 
   StatusOr<ResultSet> RunUpdate(const UpdateStmt& stmt) {
     const TableInfo* table = schema_->FindTable(stmt.table);
     if (table == nullptr) return Status::NotFound("table " + stmt.table);
-    std::vector<std::pair<int, const Expr*>> sets;
+    const std::vector<Source> sources = {{Lower(table->name), table}};
+    std::vector<std::pair<int, BoundExpr>> sets;
     for (const auto& [col, expr] : stmt.sets) {
       int idx = table->ColumnIndex(col);
       if (idx < 0) return Status::NotFound("column " + col);
-      sets.emplace_back(idx, expr.get());
+      sets.emplace_back(idx, Bind(*expr, sources));
     }
-    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(*table, stmt.where.get()));
+    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(sources, stmt.where.get()));
 
     BTree data(pager_, table->root, /*is_index=*/false);
     ResultSet result;
     for (auto& [rowid, row] : matches) {
-      RowContext ctx{{Lower(table->name), table, &row, rowid}};
+      const Frame frame{&row, rowid};
       Row updated = row;
-      for (const auto& [idx, expr] : sets) {
-        XFTL_ASSIGN_OR_RETURN(updated[idx], Eval(*expr, ctx));
+      for (const auto& [idx, value] : sets) {
+        XFTL_ASSIGN_OR_RETURN(updated[idx], Eval(value, Frames(&frame, 1)));
       }
       int64_t new_rowid = rowid;
       if (table->rowid_alias >= 0) {
@@ -832,7 +1097,9 @@ class Executor {
   StatusOr<ResultSet> RunDelete(const DeleteStmt& stmt) {
     const TableInfo* table = schema_->FindTable(stmt.table);
     if (table == nullptr) return Status::NotFound("table " + stmt.table);
-    XFTL_ASSIGN_OR_RETURN(auto matches, Materialize(*table, stmt.where.get()));
+    XFTL_ASSIGN_OR_RETURN(
+        auto matches,
+        Materialize({{Lower(table->name), table}}, stmt.where.get()));
     BTree data(pager_, table->root, /*is_index=*/false);
     ResultSet result;
     for (auto& [rowid, row] : matches) {
@@ -843,20 +1110,23 @@ class Executor {
     return result;
   }
 
-  // Collects (rowid, row) pairs matching `where` (modification-safe).
+  // Collects the (rowid, row) pairs of the one source of an UPDATE or
+  // DELETE that match `where` (modification-safe).
   StatusOr<std::vector<std::pair<int64_t, Row>>> Materialize(
-      const TableInfo& table, const Expr* where) {
+      const std::vector<Source>& sources, const Expr* where) {
     std::vector<const Expr*> conjuncts;
     Conjuncts(where, &conjuncts);
-    RowContext empty;
-    XFTL_ASSIGN_OR_RETURN(
-        auto eqs, EqualityBindings(conjuncts, Lower(table.name), table, empty));
+    const LevelPlan plan = PlanLevel(conjuncts, sources, 0);
+    std::optional<BoundExpr> filter;
+    if (where != nullptr) filter = Bind(*where, sources);
     std::vector<std::pair<int64_t, Row>> out;
-    XFTL_RETURN_IF_ERROR(ScanTable(
-        table, eqs, [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
-          if (where != nullptr) {
-            RowContext ctx{{Lower(table.name), &table, &row, rowid}};
-            XFTL_ASSIGN_OR_RETURN(Value cond, Eval(*where, ctx));
+    XFTL_RETURN_IF_ERROR(ScanLevel(
+        plan, *sources[0].table, Frames(),
+        [&](int64_t rowid, const Row& row) -> StatusOr<bool> {
+          if (filter.has_value()) {
+            const Frame frame{&row, rowid};
+            XFTL_ASSIGN_OR_RETURN(Value cond,
+                                  Eval(*filter, Frames(&frame, 1)));
             if (!cond.Truthy()) return true;
           }
           out.emplace_back(rowid, row);
@@ -870,7 +1140,7 @@ class Executor {
   uint64_t rows_scanned_ = 0;
   // When set (during grouped finalization), aggregate nodes evaluate to
   // their finalized per-group values instead of being re-computed.
-  const std::map<const Expr*, Value>* agg_values_ = nullptr;
+  const std::vector<Value>* agg_values_ = nullptr;
 };
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Statement execution: expression evaluation, access-path selection (rowid
 // lookup > index prefix scan > full scan), nested-loop joins with index
 // lookups on the inner side, single-group aggregates, and index-maintaining
-// DML.
+// DML. Each statement's column names, operators and per-level equality
+// conjuncts are resolved once, before its first row.
 #ifndef XFTL_SQL_EXECUTOR_H_
 #define XFTL_SQL_EXECUTOR_H_
 

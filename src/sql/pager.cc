@@ -223,9 +223,9 @@ Status Pager::Close() {
 StatusOr<Pager::CacheEntry*> Pager::FetchPage(Pgno pgno) {
   auto it = cache_.find(pgno);
   if (it != cache_.end()) {
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(pgno);
-    it->second.lru_it = lru_.begin();
+    // Moves the node to the front: no list node is freed or allocated, and
+    // lru_it stays valid.
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return &it->second;
   }
   XFTL_RETURN_IF_ERROR(EvictIfNeeded());

@@ -9,16 +9,6 @@ namespace xftl::sql {
 
 namespace {
 
-// One value of an encoded record, read in place: text and blob bytes point
-// into the record.
-struct EncodedValue {
-  ValueType type = ValueType::kNull;
-  int64_t i = 0;
-  double r = 0;
-  const uint8_t* bytes = nullptr;
-  uint32_t len = 0;
-};
-
 // Reads the value at data[*off] and advances *off past it. Returns nullptr,
 // or what is wrong with the encoding.
 const char* ReadValue(const uint8_t* data, size_t size, size_t* off,
@@ -191,6 +181,32 @@ int CompareEncodedRecords(const uint8_t* a, size_t a_size, const uint8_t* b,
   }
   if (a_count == b_count) return 0;
   return a_count < b_count ? -1 : 1;
+}
+
+RecordProbe::RecordProbe(const uint8_t* key, size_t size) {
+  CHECK(size >= 2) << "comparing corrupt records";
+  values_.resize(DecodeFixed16(key));
+  size_t off = 2;
+  for (EncodedValue& v : values_) {
+    CHECK(ReadValue(key, size, &off, &v) == nullptr)
+        << "comparing corrupt records";
+  }
+}
+
+int RecordProbe::Compare(const uint8_t* b, size_t b_size) const {
+  CHECK(b_size >= 2) << "comparing corrupt records";
+  const size_t b_count = DecodeFixed16(b);
+  const size_t n = std::min(values_.size(), b_count);
+  size_t off = 2;
+  EncodedValue y;
+  for (size_t i = 0; i < n; ++i) {
+    CHECK(ReadValue(b, b_size, &off, &y) == nullptr)
+        << "comparing corrupt records";
+    int c = CompareValues(values_[i], y);
+    if (c != 0) return c;
+  }
+  if (values_.size() == b_count) return 0;
+  return values_.size() < b_count ? -1 : 1;
 }
 
 }  // namespace xftl::sql

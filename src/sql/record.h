@@ -35,6 +35,28 @@ inline StatusOr<Row> DecodeRecord(const std::vector<uint8_t>& buf) {
 int CompareEncodedRecords(const uint8_t* a, size_t a_size, const uint8_t* b,
                           size_t b_size);
 
+// One value of an encoded record, read in place: text and blob bytes point
+// into the record.
+struct EncodedValue {
+  ValueType type = ValueType::kNull;
+  int64_t i = 0;
+  double r = 0;
+  const uint8_t* bytes = nullptr;
+  uint32_t len = 0;
+};
+
+// An encoded record decoded once, for comparing against many encoded records
+// (a B-tree seek): Compare(b, n) == CompareEncodedRecords(key, size, b, n).
+// The probe points into `key`, which must outlive it.
+class RecordProbe {
+ public:
+  RecordProbe(const uint8_t* key, size_t size);
+  int Compare(const uint8_t* b, size_t b_size) const;
+
+ private:
+  std::vector<EncodedValue> values_;
+};
+
 }  // namespace xftl::sql
 
 #endif  // XFTL_SQL_RECORD_H_

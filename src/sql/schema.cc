@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 
 #include "sql/parser.h"
 #include "sql/record.h"
@@ -13,6 +14,9 @@ constexpr int kMasterRootField = 0;  // pager header slot
 }  // namespace
 
 int TableInfo::ColumnIndex(const std::string& name) const {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i].name == name) return int(i);
+  }
   for (size_t i = 0; i < columns.size(); ++i) {
     if (columns[i].name.size() == name.size() &&
         std::equal(name.begin(), name.end(), columns[i].name.begin(),
@@ -110,6 +114,9 @@ Status Schema::Load() {
     }
     indexes_[Lower(idx.name)] = std::move(idx);
   }
+  for (const auto& [name, idx] : indexes_) {
+    tables_.at(Lower(idx.table)).indexes.push_back(&idx);
+  }
   return Status::OK();
 }
 
@@ -121,16 +128,6 @@ const TableInfo* Schema::FindTable(const std::string& name) const {
 const IndexInfo* Schema::FindIndex(const std::string& name) const {
   auto it = indexes_.find(Lower(name));
   return it == indexes_.end() ? nullptr : &it->second;
-}
-
-std::vector<const IndexInfo*> Schema::IndexesOf(
-    const std::string& table) const {
-  std::vector<const IndexInfo*> out;
-  std::string lower = Lower(table);
-  for (const auto& [name, idx] : indexes_) {
-    if (Lower(idx.table) == lower) out.push_back(&idx);
-  }
-  return out;
 }
 
 std::vector<std::string> Schema::TableNames() const {
@@ -175,6 +172,12 @@ Status Schema::CreateTable(const CreateTableStmt& stmt) {
   }
   if (stmt.columns.empty()) {
     return Status::InvalidArgument("table needs at least one column");
+  }
+  std::set<std::string> names;
+  for (const ColumnDef& col : stmt.columns) {
+    if (!names.insert(Lower(col.name)).second) {
+      return Status::InvalidArgument("duplicate column name: " + col.name);
+    }
   }
   XFTL_RETURN_IF_ERROR(EnsureMaster());
   XFTL_ASSIGN_OR_RETURN(Pgno root, BTree::Create(pager_, /*is_index=*/false));
@@ -240,7 +243,7 @@ Status Schema::DropTable(const std::string& name) {
   const TableInfo* table = FindTable(name);
   if (table == nullptr) return Status::NotFound("table " + name);
   // Drop dependent indexes first.
-  for (const IndexInfo* idx : IndexesOf(name)) {
+  for (const IndexInfo* idx : table->indexes) {
     XFTL_RETURN_IF_ERROR(BTree::Drop(pager_, idx->root));
     XFTL_RETURN_IF_ERROR(DeleteMasterRowsFor(idx->name));
   }

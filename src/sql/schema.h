@@ -29,7 +29,12 @@ struct TableInfo {
   std::vector<ColumnDef> columns;
   // Index of the INTEGER PRIMARY KEY column aliasing the rowid, or -1.
   int rowid_alias = -1;
+  // The table's indexes in the catalog's order (by lower-cased index name),
+  // which is the order index maintenance writes them in.
+  std::vector<const IndexInfo*> indexes;
 
+  // Position of the column `name` (case-insensitive; CREATE TABLE rejects
+  // names that differ only in case), or -1.
   int ColumnIndex(const std::string& name) const;
 };
 
@@ -45,7 +50,6 @@ class Schema {
 
   const TableInfo* FindTable(const std::string& name) const;
   const IndexInfo* FindIndex(const std::string& name) const;
-  std::vector<const IndexInfo*> IndexesOf(const std::string& table) const;
   std::vector<std::string> TableNames() const;
 
   // DDL; all require an open transaction.

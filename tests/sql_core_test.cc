@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <set>
@@ -1378,6 +1379,142 @@ TEST_F(BTreeTest, CorruptNextCellIsCorruptionOnNext) {
     EXPECT_EQ(cursor.Payload().value(), first) << is_index;
     EXPECT_TRUE(cursor.Next().IsCorruption()) << is_index;
   }
+}
+
+// Index pages are binary searched over cell offsets collected in one pass.
+// Seeks, inserts and deletes must land where a linear walk over the keys
+// in order would: seeks on the first key >= the probe, inserts in order
+// (a present key replaced, not duplicated), deletes on the exact key.
+TEST_F(BTreeTest, IndexSearchMatchesLinearWalk) {
+  auto less = [](const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+    return CompareEncodedRecords(a.data(), a.size(), b.data(), b.size()) < 0;
+  };
+  // First key >= probe by a walk over the sorted keys; keys.size() if none.
+  auto linear_slot = [](const std::vector<std::vector<uint8_t>>& keys,
+                        const std::vector<uint8_t>& probe) {
+    size_t i = 0;
+    while (i < keys.size() &&
+           CompareEncodedRecords(probe.data(), probe.size(), keys[i].data(),
+                                 keys[i].size()) > 0) {
+      i++;
+    }
+    return i;
+  };
+  Rng rng(29);
+  auto int_key = [&](int i) {
+    return EncodeRecord({Value::Int(3 * i), Value::Int(i)});
+  };
+  auto text_key = [&](int i) {
+    return EncodeRecord(
+        {Value::Text(rng.AlphaString(1 + rng.Uniform(40))), Value::Int(i)});
+  };
+  auto mixed_key = [&](int i) {
+    Value first;
+    switch (i % 5) {
+      case 0: first = Value::Null(); break;
+      case 1: first = Value::Int(int64_t(rng.Uniform(50)) - 25); break;
+      case 2: first = Value::Real(double(rng.Uniform(100)) / 4 - 12); break;
+      case 3: first = Value::Text(rng.AlphaString(rng.Uniform(12))); break;
+      default:
+        first = Value::Blob(std::vector<uint8_t>(rng.Uniform(8), uint8_t(i)));
+    }
+    return EncodeRecord({first, Value::Int(i % 7), Value::Int(i)});
+  };
+  const std::vector<std::function<std::vector<uint8_t>(int)>> families = {
+      int_key, text_key, mixed_key};
+  for (size_t family = 0; family < families.size(); ++family) {
+    auto root = BTree::Create(pager_.get(), true);
+    ASSERT_TRUE(root.ok());
+    BTree tree(pager_.get(), *root, true);
+    std::set<std::vector<uint8_t>, decltype(less)> model(less);
+    std::vector<std::vector<uint8_t>> pool;
+    for (int i = 0; i < 400; ++i) pool.push_back(families[family](i));
+    auto expect_tree_is_model = [&](const std::string& when) {
+      auto cursor = tree.NewCursor();
+      ASSERT_TRUE(cursor.First().ok()) << when;
+      for (const auto& key : model) {
+        ASSERT_TRUE(cursor.valid()) << when;
+        ASSERT_EQ(cursor.Payload().value(), key) << when;
+        ASSERT_TRUE(cursor.Next().ok()) << when;
+      }
+      EXPECT_FALSE(cursor.valid()) << when;
+    };
+    for (int op = 0; op < 900; ++op) {
+      const auto& key = pool[rng.Uniform(pool.size())];
+      const std::string when =
+          "family " + std::to_string(family) + " op " + std::to_string(op);
+      if (op < 500 || rng.Uniform(3) < 2) {
+        ASSERT_TRUE(tree.InsertKey(key).ok()) << when;
+        model.insert(key);
+      } else {
+        Status s = tree.DeleteKey(key);
+        ASSERT_EQ(s.ok(), model.erase(key) == 1) << when;
+      }
+      if (op % 25 == 0) {
+        expect_tree_is_model(when);
+        if (HasFatalFailure()) return;
+      }
+    }
+    expect_tree_is_model("family " + std::to_string(family));
+    if (HasFatalFailure()) return;
+    const std::vector<std::vector<uint8_t>> keys(model.begin(), model.end());
+    ASSERT_GT(keys.size(), 100u);
+
+    // Probes: every key, a key between each pair (a shorter prefix sorts
+    // first among its extensions, a longer key after), the first value
+    // alone, and keys before the first and after the last.
+    std::vector<std::vector<uint8_t>> probes = {
+        EncodeRecord({}), EncodeRecord({Value::Null()}),
+        EncodeRecord({Value::Blob(std::vector<uint8_t>(9, 0xFF))}),
+        EncodeRecord({Value::Int(-1000)}), EncodeRecord({Value::Int(1000000)})};
+    for (const auto& key : keys) {
+      Row row = DecodeRecord(key).value();
+      probes.push_back(key);
+      probes.push_back(EncodeRecord({row[0]}));
+      Row longer = row;
+      longer.push_back(Value::Null());
+      probes.push_back(EncodeRecord(longer));
+      if (row[0].type() == ValueType::kInt) {
+        probes.push_back(EncodeRecord({Value::Int(row[0].AsInt() + 1)}));
+        probes.push_back(
+            EncodeRecord({Value::Real(double(row[0].AsInt()) - 0.5)}));
+      }
+    }
+    auto cursor = tree.NewCursor();
+    for (size_t p = 0; p < probes.size(); ++p) {
+      const size_t want = linear_slot(keys, probes[p]);
+      ASSERT_TRUE(cursor.SeekGEKey(probes[p]).ok()) << p;
+      ASSERT_EQ(cursor.valid(), want < keys.size())
+          << "family " << family << " probe " << p;
+      if (want < keys.size()) {
+        ASSERT_EQ(cursor.Payload().value(), keys[want])
+            << "family " << family << " probe " << p;
+      }
+    }
+    auto report = CheckBTree(pager_.get(), *root, /*is_index=*/true);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+}
+
+// An index seek reads every cell of the pages it searches, so a corrupt
+// cell after the slot it lands on fails the seek too.
+TEST_F(BTreeTest, CorruptIndexCellAfterSlotIsCorruption) {
+  auto root = BTree::Create(pager_.get(), true);
+  ASSERT_TRUE(root.ok());
+  BTree tree(pager_.get(), *root, true);
+  std::vector<std::vector<uint8_t>> keys;
+  for (int64_t k = 1; k <= 5; ++k) {
+    keys.push_back(EncodeRecord({Value::Int(k)}));
+    ASSERT_TRUE(tree.InsertKey(keys.back()).ok());
+  }
+  // The local length of the last cell: after the header and four cells of
+  // fixed part plus key, then the cell's 4-byte payload total.
+  const size_t cell4 = 9 + 4 * (10 + keys[0].size());
+  CorruptPage(pager_.get(), *root, cell4 + 4, {0xF0, 0xFF});
+  auto cursor = tree.NewCursor();
+  EXPECT_TRUE(cursor.SeekGEKey(keys[0]).IsCorruption());
+  EXPECT_TRUE(tree.InsertKey(EncodeRecord({Value::Int(0)})).IsCorruption());
+  EXPECT_TRUE(tree.DeleteKey(keys[1]).IsCorruption());
 }
 
 TEST_F(BTreeTest, CheckerDetectsCorruption) {

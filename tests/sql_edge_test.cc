@@ -378,5 +378,287 @@ TEST_F(SqlEdgeTest, BeginUnknownModifierIsParseError) {
   Q("COMMIT");
 }
 
+// --- statement binding ----------------------------------------------------------
+//
+// Column references are resolved once per statement; these pin the name
+// resolution rules and, through rows_scanned (the input of the simulated
+// CPU time), the access path each join level takes.
+
+// Column names are case-insensitive, so a table cannot have two names that
+// differ only in case: each reference names one column.
+TEST_F(SqlEdgeTest, DuplicateColumnNamesRejected) {
+  Status s = db_->Exec("CREATE TABLE d (a INT, b TEXT, A REAL)").status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "duplicate column name: A");
+  EXPECT_FALSE(db_->Exec("SELECT * FROM d").ok());
+  Q("CREATE TABLE d (a INT, b TEXT, ab REAL)");
+  EXPECT_EQ(Q("SELECT a, B, Ab FROM d").columns.size(), 3u);
+}
+
+TEST_F(SqlEdgeTest, JoinWithSameNamedColumns) {
+  Q("CREATE TABLE p (id INTEGER PRIMARY KEY, name TEXT, k INT)");
+  Q("CREATE TABLE c (id INTEGER PRIMARY KEY, name TEXT, pid INT)");
+  Q("INSERT INTO p VALUES (1, 'p1', 10), (2, 'p2', 20)");
+  Q("INSERT INTO c VALUES (1, 'c1', 2), (2, 'c2', 1), (3, 'c3', 2)");
+  // Unqualified names resolve to the first source that has the column.
+  ResultSet r = Q(
+      "SELECT id, name, c.id, c.name, p.name FROM p JOIN c ON c.pid = p.id "
+      "ORDER BY c.id");
+  ASSERT_EQ(r.rows.size(), 3u);
+  const std::vector<std::vector<std::string>> want = {
+      {"2", "p2", "1", "c1", "p2"},
+      {"1", "p1", "2", "c2", "p1"},
+      {"2", "p2", "3", "c3", "p2"}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(r.rows[i].size(), want[i].size());
+    for (size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(r.rows[i][j].AsText(), want[i][j]) << i << "," << j;
+    }
+  }
+  // Full scan of p, then a full scan of c per p row.
+  EXPECT_EQ(r.rows_scanned, 8u);
+  // With c first, the same unqualified names now mean c's columns, and p is
+  // reached by rowid from each c row.
+  r = Q("SELECT name, id FROM c JOIN p ON p.id = c.pid WHERE p.name = 'p2' "
+        "ORDER BY id");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsText(), "c1");
+  EXPECT_EQ(r.rows[0][1].AsInt(), 1);
+  EXPECT_EQ(r.rows[1][0].AsText(), "c3");
+  EXPECT_EQ(r.rows[1][1].AsInt(), 3);
+  EXPECT_EQ(r.rows_scanned, 6u);
+  // A star expands each source's columns under its own alias.
+  r = Q("SELECT * FROM p a JOIN p b ON b.id = a.id + 1");
+  ASSERT_EQ(r.rows.size(), 1u);
+  ASSERT_EQ(r.rows[0].size(), 6u);
+  EXPECT_EQ(r.rows[0][1].AsText(), "p1");
+  EXPECT_EQ(r.rows[0][4].AsText(), "p2");
+  EXPECT_EQ(r.rows_scanned, 3u);
+}
+
+TEST_F(SqlEdgeTest, MixedCaseAliasesAndColumns) {
+  Q("CREATE TABLE stock (s_key INTEGER PRIMARY KEY, s_i_id INT, s_w_id INT, "
+    "s_quantity INT)");
+  Q("CREATE INDEX idx_stock ON stock (s_w_id, s_i_id)");
+  for (int i = 1; i <= 20; ++i) {
+    Q("INSERT INTO stock VALUES (" + std::to_string(i) + ", " +
+      std::to_string(i % 10) + ", " + std::to_string(1 + i % 2) + ", " +
+      std::to_string(i * 3) + ")");
+  }
+  ResultSet r = Q(
+      "SELECT S.S_I_ID, s.S_Quantity, S.s_key FROM Stock S "
+      "WHERE S.S_W_ID = 2 AND s.s_i_id = 3 ORDER BY s.S_KEY");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 3);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 9);
+  EXPECT_EQ(r.rows[0][2].AsInt(), 3);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 39);
+  EXPECT_EQ(r.rows_scanned, 2u);  // both index columns bound
+  r = Q("SELECT COUNT(*) FROM STOCK WHERE stock.S_W_ID = 1");
+  EXPECT_EQ(r.rows[0][0].AsInt(), 10);
+  EXPECT_EQ(r.rows_scanned, 10u);  // index prefix of one column
+}
+
+TEST_F(SqlEdgeTest, RowidAndIntegerPrimaryKeyAlias) {
+  Q("CREATE TABLE r (k INTEGER PRIMARY KEY, v TEXT)");
+  Q("CREATE TABLE n (v TEXT)");
+  Q("INSERT INTO r VALUES (5, 'five'), (7, 'seven'), (9, 'nine')");
+  Q("INSERT INTO n VALUES ('a'), ('b'), ('c')");
+  ResultSet r = Q("SELECT rowid, k, ROWID, r.RowId, v FROM r WHERE k = 7");
+  ASSERT_EQ(r.rows.size(), 1u);
+  for (int j = 0; j < 4; ++j) EXPECT_EQ(r.rows[0][j].AsInt(), 7) << j;
+  EXPECT_EQ(r.rows[0][4].AsText(), "seven");
+  EXPECT_EQ(r.rows_scanned, 1u);  // rowid lookup through the alias
+  r = Q("SELECT v FROM r WHERE rowid = 9");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsText(), "nine");
+  EXPECT_EQ(r.rows_scanned, 1u);
+  r = Q("SELECT rowid, v FROM n WHERE rowid = 2");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 2);
+  EXPECT_EQ(r.rows[0][1].AsText(), "b");
+  EXPECT_EQ(r.rows_scanned, 1u);
+  EXPECT_EQ(Q("SELECT v FROM r WHERE k = NULL").rows_scanned, 0u);
+  // Join through a rowid on the inner side.
+  r = Q("SELECT r.v, n.v FROM r JOIN n ON n.rowid = r.k - 4 ORDER BY r.k");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][1].AsText(), "a");
+  EXPECT_EQ(r.rows[1][1].AsText(), "c");
+  EXPECT_EQ(r.rows_scanned, 5u);
+}
+
+TEST_F(SqlEdgeTest, UnknownColumnIsNotFound) {
+  Q("CREATE TABLE t (v INT)");
+  Q("CREATE TABLE e (v INT)");
+  Q("INSERT INTO t VALUES (1), (2)");
+  auto expect_not_found = [&](const std::string& sql,
+                              const std::string& message) {
+    Status s = db_->Exec(sql).status();
+    EXPECT_TRUE(s.IsNotFound()) << sql << " -> " << s.ToString();
+    EXPECT_EQ(s.message(), message) << sql;
+  };
+  expect_not_found("SELECT nosuch FROM t", "no such column: nosuch");
+  expect_not_found("SELECT t.nosuch FROM t", "no such column: t.nosuch");
+  expect_not_found("SELECT x.v FROM t", "no such column: x.v");
+  expect_not_found("SELECT v FROM t WHERE nosuch = 1",
+                   "no such column: nosuch");
+  expect_not_found("UPDATE t SET v = nosuch + 1", "no such column: nosuch");
+  expect_not_found("SELECT COUNT(*), nosuch FROM e", "no such column: nosuch");
+  expect_not_found("INSERT INTO t VALUES (v)", "no such column: v");
+  // References are checked when a row reaches them, as before: a statement
+  // that evaluates no row does not fail, and short-circuit skips the rest.
+  EXPECT_TRUE(Q("SELECT nosuch FROM e").rows.empty());
+  EXPECT_EQ(Q("SELECT v FROM t WHERE v = 0 AND nosuch = 1").rows.size(), 0u);
+  EXPECT_EQ(Q("SELECT v FROM t WHERE 1 OR nosuch").rows.size(), 2u);
+}
+
+TEST_F(SqlEdgeTest, GroupByHavingDistinctOverJoin) {
+  Q("CREATE TABLE orders (id INTEGER PRIMARY KEY, cust INT)");
+  Q("CREATE TABLE lines (oid INT, item INT, qty INT)");
+  Q("CREATE INDEX idx_lines ON lines (oid)");
+  Q("INSERT INTO orders VALUES (1, 7), (2, 7), (3, 9), (4, 8)");
+  Q("INSERT INTO lines VALUES (1, 100, 1), (1, 101, 2), (2, 100, 3), "
+    "(3, 102, 4), (4, 103, 5), (4, 103, 6)");
+  ResultSet r = Q(
+      "SELECT o.cust, COUNT(DISTINCT l.item), SUM(l.qty), COUNT(*) "
+      "FROM orders o JOIN lines l ON l.oid = o.id GROUP BY o.cust "
+      "HAVING COUNT(*) > 1 ORDER BY SUM(l.qty) DESC");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 8);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][2].AsInt(), 11);
+  EXPECT_EQ(r.rows[0][3].AsInt(), 2);
+  EXPECT_EQ(r.rows[1][0].AsInt(), 7);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 2);
+  EXPECT_EQ(r.rows[1][2].AsInt(), 6);
+  EXPECT_EQ(r.rows[1][3].AsInt(), 3);
+  EXPECT_EQ(r.rows_scanned, 10u);  // 4 orders, then 6 lines by index
+}
+
+TEST_F(SqlEdgeTest, UpdateAndDeleteThroughIndexPrefix) {
+  Q("CREATE TABLE t (id INTEGER PRIMARY KEY, a INT, b INT, v INT)");
+  Q("CREATE INDEX idx_ab ON t (a, b)");
+  for (int i = 1; i <= 30; ++i) {
+    Q("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
+      std::to_string(i % 3) + ", " + std::to_string(i % 5) + ", 0)");
+  }
+  ResultSet r = Q("UPDATE t SET v = v + id WHERE a = 2 AND b = 3");
+  EXPECT_EQ(r.rows_affected, 2u);  // ids 8 and 23
+  EXPECT_EQ(r.rows_scanned, 2u);
+  EXPECT_EQ(Scalar("SELECT SUM(v) FROM t").AsInt(), 31);
+  r = Q("UPDATE t SET b = 4 WHERE A = 1 AND v = 0");
+  EXPECT_EQ(r.rows_affected, 10u);
+  EXPECT_EQ(r.rows_scanned, 10u);  // prefix of one column
+  r = Q("DELETE FROM t WHERE a = 1 AND b = 4");
+  EXPECT_EQ(r.rows_affected, 10u);
+  EXPECT_EQ(r.rows_scanned, 10u);
+  EXPECT_EQ(Scalar("SELECT COUNT(*) FROM t WHERE a = 1").AsInt(), 0);
+  EXPECT_EQ(Scalar("SELECT COUNT(*) FROM t").AsInt(), 20);
+}
+
+// The TPC-C stock-level join and order-status reads on a small database of
+// the benchmark's schema. rows_scanned drives the simulated CPU time of
+// every statement, so a plan change that moves it fails here.
+TEST_F(SqlEdgeTest, TpccReadPlansKeepRowsScanned) {
+  Q(R"sql(
+    CREATE TABLE district (d_key INTEGER PRIMARY KEY, d_id INT, d_w_id INT,
+      d_name TEXT, d_tax REAL, d_ytd REAL, d_next_o_id INT);
+    CREATE TABLE customer (c_key INTEGER PRIMARY KEY, c_id INT, c_d_id INT,
+      c_w_id INT, c_last TEXT, c_first TEXT, c_balance REAL, c_ytd_payment REAL,
+      c_payment_cnt INT, c_delivery_cnt INT, c_data TEXT);
+    CREATE TABLE orders (o_key INTEGER PRIMARY KEY, o_id INT, o_d_id INT,
+      o_w_id INT, o_c_id INT, o_carrier_id INT, o_ol_cnt INT, o_all_local INT);
+    CREATE TABLE order_line (ol_key INTEGER PRIMARY KEY, ol_o_id INT,
+      ol_d_id INT, ol_w_id INT, ol_number INT, ol_i_id INT,
+      ol_supply_w_id INT, ol_quantity INT, ol_amount REAL, ol_dist_info TEXT);
+    CREATE TABLE stock (s_key INTEGER PRIMARY KEY, s_i_id INT, s_w_id INT,
+      s_quantity INT, s_ytd INT, s_order_cnt INT, s_remote_cnt INT,
+      s_data TEXT);
+    CREATE INDEX idx_district ON district (d_w_id, d_id);
+    CREATE INDEX idx_customer ON customer (c_w_id, c_d_id, c_id);
+    CREATE INDEX idx_customer_name ON customer (c_w_id, c_d_id, c_last);
+    CREATE INDEX idx_orders ON orders (o_w_id, o_d_id, o_id);
+    CREATE INDEX idx_orders_cust ON orders (o_w_id, o_d_id, o_c_id);
+    CREATE INDEX idx_order_line ON order_line (ol_w_id, ol_d_id, ol_o_id);
+    CREATE INDEX idx_stock ON stock (s_w_id, s_i_id);
+  )sql");
+  const int kWarehouses = 2, kDistricts = 2, kCustomers = 10, kOrders = 30,
+            kItems = 60;
+  auto n = [](int64_t v) { return std::to_string(v); };
+  int64_t key = 0;
+  for (int w = 1; w <= kWarehouses; ++w) {
+    Q("BEGIN");
+    for (int i = 1; i <= kItems; ++i) {
+      Q("INSERT INTO stock VALUES (" + n(++key) + ", " + n(i) + ", " + n(w) +
+        ", " + n(10 + (i * 7 + w) % 91) + ", 0, 0, 0, 'sd')");
+    }
+    Q("COMMIT");
+  }
+  for (int w = 1; w <= kWarehouses; ++w) {
+    for (int d = 1; d <= kDistricts; ++d) {
+      const int64_t dk = (w - 1) * kDistricts + d;
+      Q("BEGIN");
+      Q("INSERT INTO district VALUES (" + n(dk) + ", " + n(d) + ", " + n(w) +
+        ", 'dn', 0.1, 0.0, " + n(kOrders + 1) + ")");
+      for (int c = 1; c <= kCustomers; ++c) {
+        Q("INSERT INTO customer VALUES (" + n(dk * 100 + c) + ", " + n(c) +
+          ", " + n(d) + ", " + n(w) + ", 'LAST" + n(c % 4) +
+          "', 'first', -10.0, 10.0, 1, 0, 'cd')");
+      }
+      for (int o = 1; o <= kOrders; ++o) {
+        const int64_t ok = dk * 1000 + o;
+        const int lines = 5 + o % 6;
+        Q("INSERT INTO orders VALUES (" + n(ok) + ", " + n(o) + ", " + n(d) +
+          ", " + n(w) + ", " + n(1 + o % kCustomers) + ", " + n(o % 10) +
+          ", " + n(lines) + ", 1)");
+        for (int l = 1; l <= lines; ++l) {
+          Q("INSERT INTO order_line VALUES (" + n(ok * 100 + l) + ", " + n(o) +
+            ", " + n(d) + ", " + n(w) + ", " + n(l) + ", " +
+            n(1 + (o * 13 + l * 7) % kItems) + ", " + n(w) + ", 5, " +
+            n(o + l) + ".5, 'dist')");
+        }
+      }
+      Q("COMMIT");
+    }
+  }
+
+  struct Case {
+    std::string sql;
+    int64_t rows;
+    uint64_t scanned;
+  };
+  const int w = 2, d = 1, c = 4;
+  const int64_t o_id = kOrders + 1;
+  const std::vector<Case> cases = {
+      // Stock level: the district's next order id, then the join.
+      {"SELECT d_next_o_id FROM district WHERE d_w_id = " + n(w) +
+           " AND d_id = " + n(d),
+       1, 1},
+      {"SELECT COUNT(DISTINCT s.s_i_id) FROM order_line ol JOIN stock s ON "
+       "s.s_i_id = ol.ol_i_id AND s.s_w_id = ol.ol_w_id WHERE ol.ol_w_id = " +
+           n(w) + " AND ol.ol_d_id = " + n(d) + " AND ol.ol_o_id >= " +
+           n(o_id - 20) + " AND s.s_quantity < " + n(40),
+       1, 450},
+      // Order status.
+      {"SELECT c_balance, c_first, c_last FROM customer WHERE c_w_id = " +
+           n(w) + " AND c_d_id = " + n(d) + " AND c_id = " + n(c),
+       1, 1},
+      {"SELECT o_id, o_carrier_id FROM orders WHERE o_w_id = " + n(w) +
+           " AND o_d_id = " + n(d) + " AND o_c_id = " + n(c) +
+           " ORDER BY o_id DESC LIMIT 1",
+       1, 3},
+      {"SELECT ol_i_id, ol_quantity, ol_amount FROM order_line WHERE "
+       "ol_w_id = " + n(w) + " AND ol_d_id = " + n(d) + " AND ol_o_id = " +
+           n(23),
+       10, 10},
+  };
+  for (const Case& k : cases) {
+    ResultSet r = Q(k.sql);
+    EXPECT_EQ(int64_t(r.rows.size()), k.rows) << k.sql;
+    EXPECT_EQ(r.rows_scanned, k.scanned) << k.sql;
+  }
+  EXPECT_EQ(Scalar(cases[1].sql).AsInt(), 19);
+}
+
 }  // namespace
 }  // namespace xftl::sql
